@@ -179,7 +179,11 @@ def _read_input(args: argparse.Namespace) -> Dataset:
 def _run_explain(
     data: Dataset, params: ForestParams
 ) -> tuple[ForestModel, DpGraph, IopReport]:
-    """fit -> label -> trace -> prune -> collapse -> weight -> graph -> IOP."""
+    """fit -> label -> graph -> IOP.
+
+    fit routes the training set once for the scores and the transition
+    counts; the graph reuses those counts and re-routes only the outlier rows.
+    """
     model = fit(data, params)
     graph = build_model_graph(model, data)
     return model, graph, score_graph(graph)
@@ -442,8 +446,7 @@ def _repro_fixture(args: argparse.Namespace) -> int:
 
 
 def _repro_dataset(args: argparse.Namespace) -> int:
-    data = read_csv(args.data, has_header=not args.no_header,
-                    label_column=args.label_column)
+    data = _read_input(args)
     names = data.feature_names
     for required in ("TSH", "T3"):
         if required not in names:

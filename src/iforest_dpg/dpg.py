@@ -1,11 +1,13 @@
 """Decision predicate graph construction from a fitted isolation forest.
 
-Every training sample is re-routed through every tree; the satisfied split
-predicates form one labeled trace per (tree, sample) pair. Outlier traces
-that reach the depth cap are pruned, split values are dropped so predicates
-collapse to (feature, sign) pairs, and the surviving transitions are
-aggregated into a weighted directed graph between predicate nodes, a virtual
-source, and the two class terminals.
+Every training sample's route through every tree is one labeled trace of the
+split predicates it satisfied. Outlier traces that reach the depth cap are
+pruned, split values are dropped so predicates collapse to (feature, sign)
+pairs, and the surviving transitions are counted per class and weighted into
+a directed graph between predicate nodes, a virtual source, and the two
+class terminals. The routes are the ones `fit` already walks to score the
+training set, so the builder reuses fit's transition counts and re-routes
+only the outlier rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forest import INLIER, OUTLIER, Dataset, FlatTree, ForestModel, SingleClassError
+from .forest import (
+    INLIER,
+    OUTLIER,
+    Dataset,
+    FlatTree,
+    ForestModel,
+    SingleClassError,
+    _n_codes,
+    _route,
+    _training_counts,
+)
 
 LE = "<="
 GT = ">"
@@ -119,17 +131,18 @@ def node_sort_key(node_id: str) -> tuple:
 
 
 def _tree_paths(
-    flat: FlatTree, X: np.ndarray, depth_cap: int, record_values: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    flat: FlatTree, X: np.ndarray, depth_cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicate codes along each sample's root-to-leaf path in one tree.
 
     Returns (codes, lengths, values): codes is (n, depth_cap) of
     2*feature + went_right with -1 padding, lengths the per-sample number of
-    predicates, values the split thresholds when requested.
+    predicates, values the split thresholds. `traverse` uses this as a route
+    independent of `forest._route`.
     """
     n = len(X)
     codes = np.full((n, depth_cap), -1, dtype=np.int32)
-    values = np.full((n, depth_cap), np.nan) if record_values else None
+    values = np.full((n, depth_cap), np.nan)
     lengths = np.zeros(n, dtype=np.int32)
     cur = np.zeros(n, dtype=np.int32)
     rows = np.arange(n)
@@ -142,8 +155,7 @@ def _tree_paths(
         go_right = X[rows, np.where(internal, f, 0)] > thr
         step_codes = 2 * f + go_right
         codes[internal, step] = step_codes[internal]
-        if values is not None:
-            values[internal, step] = thr[internal]
+        values[internal, step] = thr[internal]
         lengths[internal] += 1
         nxt = np.where(go_right, flat.right[cur], flat.left[cur])
         cur = np.where(internal, nxt, cur)
@@ -168,7 +180,7 @@ def traverse(model: ForestModel, data: Dataset) -> list[TraceList]:
     for t, flat in enumerate(model.flat_trees()):
         if flat.feature.max(initial=-1) >= data.n_features:
             raise ValueError("model splits on features beyond the dataset width")
-        codes, lengths, values = _tree_paths(flat, X, depth_cap, record_values=True)
+        codes, lengths, values = _tree_paths(flat, X, depth_cap)
         for s in range(len(X)):
             preds = [
                 PredicateTriple(int(codes[s, j]) // 2, LE if codes[s, j] % 2 == 0 else GT, float(values[s, j]))
@@ -219,10 +231,11 @@ def build_graph(
 ) -> DpGraph:
     """Aggregate collapsed traces into the weighted predicate-transition graph.
 
-    Each trace contributes its class weight to (SOURCE -> first predicate),
+    Each trace adds one to its class's count of (SOURCE -> first predicate),
     every consecutive pair, and (last predicate -> class terminal); traces
-    with no predicates route SOURCE directly to their terminal. Accumulation
-    follows the given trace order, so results are reproducible bit for bit.
+    with no predicates route SOURCE directly to their terminal. Every edge
+    weight is then c_i*w_i + c_o*w_o from its integer counts, so it does not
+    depend on the trace order.
     """
     if not traces:
         raise ValueError("cannot build a graph from zero traces")
@@ -235,19 +248,20 @@ def build_graph(
             f"no {missing} traces remain; graph would be single-class"
         )
 
-    edges: dict[tuple[str, str], float] = {}
+    counts: dict[tuple[str, str], list[int]] = {}
     seen: set[Predicate] = set()
     terminal = {INLIER: INLIER_ID, OUTLIER: OUTLIER_ID}
     for tr in traces:
-        w = weights.w_o if tr.class_label == OUTLIER else weights.w_i
+        c = 1 if tr.class_label == OUTLIER else 0
         prev = SOURCE_ID
         for p in tr.predicates:
             seen.add(p)
-            key = (prev, predicate_id(p))
-            edges[key] = edges.get(key, 0.0) + w
+            counts.setdefault((prev, predicate_id(p)), [0, 0])[c] += 1
             prev = predicate_id(p)
-        key = (prev, terminal[tr.class_label])
-        edges[key] = edges.get(key, 0.0) + w
+        counts.setdefault((prev, terminal[tr.class_label]), [0, 0])[c] += 1
+    edges = {
+        key: c_i * weights.w_i + c_o * weights.w_o for key, (c_i, c_o) in counts.items()
+    }
 
     predicates = sorted(seen, key=lambda p: (p.feature_index, 0 if p.sign == LE else 1))
     return DpGraph(
@@ -262,9 +276,13 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     """Fused traverse -> prune -> collapse -> weight -> build pipeline.
 
     Produces the same graph as composing the individual steps (verified by
-    tests) but accumulates transitions from padded code matrices per tree,
-    which keeps large runs fast. Edge weights are added in (tree, sample,
-    step) order, matching the per-trace route exactly.
+    tests) from integer transition counts per class, without materializing
+    traces. The all-row counts come from fit's routing pass when `data`
+    holds the matrix fit routed, and from one routing pass otherwise; the
+    inlier counts are those minus the outlier rows' counts, and only the
+    outlier rows are routed again to count and prune their traces. Each edge
+    weight is c_i*w_i + c_o*w_o, computed once, exactly as `build_graph`
+    computes it.
     """
     if data.n_samples != model.n_train:
         raise ValueError(
@@ -275,46 +293,36 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     n = data.n_samples
     d = data.n_features
     depth_cap = model.max_depth
-    outlier_mask = model.labels == OUTLIER
-    sample_w = np.where(outlier_mask, weights.w_o, weights.w_i)
+    trees = model.flat_trees()
+    if any(flat.feature.max(initial=-1) >= d for flat in trees):
+        raise ValueError("model splits on features beyond the dataset width")
 
-    # Node indexing for the dense accumulator: predicates 0..2d-1, then
-    # SOURCE, INLIER, OUTLIER.
+    # Counts use the layout beside forest._route: predicate codes 0..2d-1,
+    # SOURCE = 2d, END = 2d + 1.
+    m = _n_codes(d)
+    outliers = np.ascontiguousarray(X[model.labels == OUTLIER].T)
+    c_outliers = np.zeros(m * m, dtype=np.int64)
+    c_pruned = np.zeros(m * m, dtype=np.int64)
+    pruned = 0
+    for flat in trees:
+        deep = flat.depth[_route(flat, outliers, c_outliers)] >= depth_cap
+        pruned += int(np.count_nonzero(deep))
+        _route(flat, outliers[:, deep], c_pruned)
+    if pruned == len(trees) * weights.n_o:
+        raise SingleClassError("no Outlier traces remain; graph would be single-class")
+
+    # Graph node indexing: predicates 0..2d-1, then SOURCE, INLIER, OUTLIER.
+    # END is the class terminal, so it maps to INLIER in the inlier counts
+    # (same index) and moves to OUTLIER in the outlier counts.
     k = 2 * d
     src_idx, inl_idx, out_idx = k, k + 1, k + 2
-    dense = np.zeros((k + 3, k + 3))
-    terminal = np.where(outlier_mask, out_idx, inl_idx).astype(np.int32)
-
-    pruned = 0
-    kept_by_class = {INLIER: 0, OUTLIER: 0}
-    for flat in model.flat_trees():
-        if flat.feature.max(initial=-1) >= d:
-            raise ValueError("model splits on features beyond the dataset width")
-        codes, lengths, _ = _tree_paths(flat, X, depth_cap, record_values=False)
-        keep = ~(outlier_mask & (lengths >= depth_cap))
-        pruned += int(n - keep.sum())
-        kept_by_class[OUTLIER] += int(np.count_nonzero(outlier_mask & keep))
-        kept_by_class[INLIER] += int(np.count_nonzero(~outlier_mask))
-
-        codes = codes[keep]
-        lens = lengths[keep]
-        m = len(codes)
-        # Per-sample node sequence SOURCE, p_1..p_L, terminal in one padded
-        # matrix; consecutive columns are the transition endpoints.
-        seq = np.full((m, depth_cap + 2), -1, dtype=np.int32)
-        seq[:, 0] = src_idx
-        seq[:, 1 : depth_cap + 1] = codes
-        seq[np.arange(m), lens + 1] = terminal[keep]
-        valid = np.arange(depth_cap + 1)[None, :] <= lens[:, None]
-        srcs = seq[:, :-1][valid]
-        dsts = seq[:, 1:][valid]
-        w = np.broadcast_to(sample_w[keep][:, None], valid.shape)[valid]
-        np.add.at(dense, (srcs, dsts), w)
-
-    if kept_by_class[OUTLIER] == 0:
-        raise SingleClassError("no Outlier traces remain; graph would be single-class")
-    if kept_by_class[INLIER] == 0:
-        raise SingleClassError("no Inlier traces remain; graph would be single-class")
+    c_in = np.zeros((k + 3, k + 3), dtype=np.int64)
+    c_in[:m, :m] = (_training_counts(model, X) - c_outliers).reshape(m, m)
+    kept = (c_outliers - c_pruned).reshape(m, m)
+    c_out = np.zeros((k + 3, k + 3), dtype=np.int64)
+    c_out[:m, : k + 1] = kept[:, : k + 1]
+    c_out[:m, out_idx] = kept[:, k + 1]
+    dense = c_in * weights.w_i + c_out * weights.w_o
 
     id_of = (
         [predicate_id(Predicate(c // 2, LE if c % 2 == 0 else GT)) for c in range(k)]

@@ -8,6 +8,7 @@ unsuccessful-search path length in a binary search tree of n points.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -205,6 +206,10 @@ class ForestModel:
     scores: np.ndarray
     labels: np.ndarray
     _flat: list[FlatTree] | None = field(default=None, repr=False, compare=False)
+    # (key of the training matrix, its all-row transition counts) from fit.
+    _train_counts: tuple[tuple, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def subsample_size(self) -> int:
@@ -289,32 +294,95 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
         scores=np.empty(0),
         labels=np.empty(0, dtype="<U7"),
     )
-    mean_paths = _mean_path_lengths(model, X)
+    # The one routing pass over the training set: it yields the scores and the
+    # transition counts the graph builder reuses.
+    counts = np.zeros(_n_codes(data.n_features) ** 2, dtype=np.int64)
+    mean_paths = _mean_path_lengths(model, np.ascontiguousarray(X.T), counts)
+    model._train_counts = (_matrix_key(X), counts)
     model.scores = anomaly_score(mean_paths, sub_n)
     model.labels = label_scores(model.scores, params.label_rule)
     return model
 
 
-def _leaf_nodes(flat: FlatTree, X: np.ndarray) -> np.ndarray:
-    """Vectorized routing of every row of X to its leaf node index."""
-    cur = np.zeros(len(X), dtype=np.int32)
-    rows = np.arange(len(X))
-    while True:
-        f = flat.feature[cur]
-        internal = f >= 0
-        if not internal.any():
-            return cur
-        go_right = X[rows, np.where(internal, f, 0)] > flat.threshold[cur]
-        nxt = np.where(go_right, flat.right[cur], flat.left[cur])
-        cur = np.where(internal, nxt, cur)
+# Transition-count layout. With d features a route steps through M = 2d + 2
+# node codes: 2*feature + went_right for each split predicate, SOURCE = 2d
+# before the root and END = 2d + 1 after the leaf. counts[prev*M + code] is
+# the number of routes that stepped from `prev` to `code`, so a route through
+# a tree that is a single leaf adds one SOURCE -> END.
 
 
-def _mean_path_lengths(model: ForestModel, X: np.ndarray) -> np.ndarray:
+def _n_codes(n_features: int) -> int:
+    """M, the number of node codes in the transition-count layout."""
+    return 2 * n_features + 2
+
+
+def _route(
+    flat: FlatTree, XT: np.ndarray, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Leaf node index reached by every row of the feature-major matrix XT.
+
+    XT is X.T as a contiguous (n_features, n_rows) array. Only rows still at
+    internal nodes are followed; a row drops out at its leaf. When `counts`
+    (int64, length M*M) is given, every transition of every route is added
+    into it.
+    """
+    d, n = XT.shape
+    m = _n_codes(d)
+    values = XT.ravel()
+    feature = flat.feature.astype(np.intp)
+    child = np.stack([flat.left, flat.right], axis=1).ravel().astype(np.intp)
+    leaf = np.empty(n, dtype=np.intp)
+    rows = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    # from_row[i] = M * (code of row i's last node); every route starts at SOURCE.
+    from_row = np.full(n, (m - 2) * m)
+    while rows.size:
+        f = feature.take(node)
+        at_leaf = f < 0
+        if at_leaf.any():
+            leaf[rows[at_leaf]] = node[at_leaf]
+            inner = ~at_leaf
+            if counts is not None:
+                counts += np.bincount(from_row[at_leaf] + (m - 1), minlength=m * m)
+                from_row = from_row[inner]
+            rows, node, f = rows[inner], node[inner], f[inner]
+        right = values.take(f * n + rows) > flat.threshold.take(node)
+        code = 2 * f + right
+        if counts is not None:
+            counts += np.bincount(from_row + code, minlength=m * m)
+            from_row = code * m
+        node = child.take(2 * node + right)
+    return leaf
+
+
+def _matrix_key(X: np.ndarray) -> tuple:
+    """Shape and content digest: names the matrix a count cache was built from."""
+    return X.shape, hashlib.sha256(np.ascontiguousarray(X)).digest()
+
+
+def _training_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """All-row transition counts of X over every tree, summed.
+
+    Served from fit's routing pass when X is the matrix fit routed;
+    otherwise X is routed through the same kernel.
+    """
+    if model._train_counts is not None and model._train_counts[0] == _matrix_key(X):
+        return model._train_counts[1]
+    counts = np.zeros(_n_codes(X.shape[1]) ** 2, dtype=np.int64)
+    XT = np.ascontiguousarray(X.T)
+    for flat in model.flat_trees():
+        _route(flat, XT, counts)
+    return counts
+
+
+def _mean_path_lengths(
+    model: ForestModel, XT: np.ndarray, counts: np.ndarray | None = None
+) -> np.ndarray:
     adjust = model.params.leaf_adjustment
     c_table = _leaf_adjustment_table(model.subsample_size) if adjust else None
-    total = np.zeros(len(X))
+    total = np.zeros(XT.shape[1])
     for flat in model.flat_trees():
-        leaves = _leaf_nodes(flat, X)
+        leaves = _route(flat, XT, counts)
         h = flat.depth[leaves].astype(np.float64)
         if c_table is not None:
             h += c_table[flat.size[leaves]]
@@ -353,7 +421,8 @@ def score_samples(model: ForestModel, data: Dataset | np.ndarray) -> np.ndarray:
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-dimensional sample matrix")
-    return anomaly_score(_mean_path_lengths(model, X), model.subsample_size)
+    XT = np.ascontiguousarray(X.T)
+    return anomaly_score(_mean_path_lengths(model, XT), model.subsample_size)
 
 
 def label_scores(

@@ -456,8 +456,9 @@ def write_explanation_bundle(
     with the same inputs reproduces every file byte for byte.
     """
     out_dir = Path(out_dir)
+    model_dict = model_to_dict(model)
     contents: dict[str, str] = {
-        "model.json": json.dumps(model_to_dict(model), indent=2) + "\n",
+        "model.json": json.dumps(model_dict, indent=2) + "\n",
         "graph.json": json.dumps(graph_to_dict(graph, report), indent=2) + "\n",
         "iop_report.json": rank_report(report, format="json"),
         "graph.dot": export_dot(graph, report),
@@ -478,7 +479,7 @@ def write_explanation_bundle(
             "numpy": np.__version__,
         },
         "seed": model.params.seed,
-        "params": model_to_dict(model)["params"],
+        "params": model_dict["params"],
         "input": input_info,
         "files": {
             name: _sha256_bytes(text.encode("utf-8")) for name, text in contents.items()

@@ -300,3 +300,21 @@ def test_repro_dataset_runs_with_expected_columns(tmp_path, capsys, fixture_csv)
     doc = json.loads(stdout)
     assert any("TSH" in p["label"] for p in doc["predicates"])
     assert isinstance(doc["pass"], bool)
+
+
+def test_repro_dataset_label_column_by_index(tmp_path, capsys, fixture_csv):
+    # A digit string selects the label column by position, as on explain.
+    lines = fixture_csv.read_text().splitlines()
+    lines[0] = "label,Age,TSH,T3,TT4,FTI,T4U"
+    lines[1:] = [f"{int(i == 0)},{row}" for i, row in enumerate(lines[1:])]
+    path = tmp_path / "labelled.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(
+        capsys,
+        "repro", "--dataset", str(path), "--label-column", "0",
+        "--seeds", "1", "--trees", "30", "--json",
+    )
+    assert code == 0, err
+    doc = json.loads(stdout)
+    assert doc["predicates"]
+    assert not any("label" in p["label"] for p in doc["predicates"])

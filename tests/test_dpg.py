@@ -36,6 +36,7 @@ from iforest_dpg.forest import (
     fit,
     max_tree_depth,
 )
+from iforest_dpg.io import model_from_dict, model_to_dict
 
 
 def _manual_model(trees, labels):
@@ -359,6 +360,35 @@ def test_fused_pipeline_matches_object_route(small_model):
     assert set(staged.edges) == set(fused.edges)
     for key in staged.edges:
         assert staged.edges[key] == fused.edges[key]  # bit-identical accumulation
+
+
+def test_graph_from_reloaded_model_matches_fitted(small_model):
+    # The fitted model serves fit's transition counts; a reloaded one has
+    # none and routes the training set itself. Both must give one graph.
+    data, model = small_model
+    assert model._train_counts is not None
+    reloaded = model_from_dict(model_to_dict(model))
+    assert reloaded._train_counts is None
+    fresh = build_model_graph(model, data)
+    again = build_model_graph(reloaded, data)
+    assert again.edges == fresh.edges
+    assert again.predicates == fresh.predicates
+    assert again.metadata == fresh.metadata
+
+
+def test_graph_on_other_data_ignores_cached_counts(small_model):
+    data, model = small_model
+    other = Dataset(
+        features=data.features[::-1] * 0.5, feature_names=data.feature_names
+    )
+    uncached = model_from_dict(model_to_dict(model))
+    expected = build_model_graph(uncached, other)
+    assert build_model_graph(model, other).edges == expected.edges
+    # Overwriting the training matrix in place must not serve its old counts.
+    data.features[:] = other.features
+    rewritten = build_model_graph(model, data)
+    assert rewritten.edges == expected.edges
+    assert rewritten.predicates == expected.predicates
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iforest_dpg.dpg import GT
 from iforest_dpg.forest import (
     C1,
     Contamination,
     Dataset,
+    FlatTree,
     ForestParams,
     Internal,
     Leaf,
     ScoreThreshold,
     SingleClassError,
+    _route,
     anomaly_score,
     average_path_normalizer,
     fit,
@@ -23,6 +26,7 @@ from iforest_dpg.forest import (
     score_samples,
 )
 from iforest_dpg.synth import InjectionSpec, SynthConfig, generate
+from test_dpg import _oracle_paths
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,67 @@ def test_boundary_value_routes_left():
     assert path_length(tree, np.array([0.5]), leaf_adjustment=True) == pytest.approx(
         1.0 + average_path_normalizer(3)
     )
+
+
+# ---------------------------------------------------------------------------
+# routing kernel
+
+
+def test_route_matches_object_walk_on_edge_cases():
+    # Every row but row 4 sits exactly on a split value, which routes left;
+    # the second tree is a single leaf, so its routes are SOURCE -> END; the
+    # third splits twice on one feature, a self-loop transition.
+    trees = [
+        Internal(
+            feature_index=0,
+            split_value=0.5,
+            left=Internal(
+                feature_index=1,
+                split_value=-1.0,
+                left=Leaf(size=1, depth=2),
+                right=Leaf(size=2, depth=2),
+            ),
+            right=Leaf(size=3, depth=1),
+        ),
+        Leaf(size=4, depth=0),
+        Internal(
+            feature_index=1,
+            split_value=2.0,
+            left=Leaf(size=1, depth=1),
+            right=Internal(
+                feature_index=1,
+                split_value=3.0,
+                left=Leaf(size=2, depth=2),
+                right=Leaf(size=1, depth=2),
+            ),
+        ),
+    ]
+    X = np.array(
+        [[0.5, -1.0], [0.5, 0.0], [0.9, 2.0], [0.1, 3.0], [0.2, 3.5], [0.5, 2.0]]
+    )
+    XT = np.ascontiguousarray(X.T)
+    m = 2 * X.shape[1] + 2
+    source, end = m - 2, m - 1
+    for tree in trees:
+        flat = FlatTree(tree)
+        counts = np.zeros(m * m, dtype=np.int64)
+        leaves = _route(flat, XT, counts)
+        assert np.array_equal(_route(flat, XT), leaves)
+        expected = np.zeros(m * m, dtype=np.int64)
+        for i, x in enumerate(X):
+            for adjust in (False, True):
+                h = float(flat.depth[leaves[i]])
+                if adjust and flat.size[leaves[i]] > 1:
+                    h += average_path_normalizer(int(flat.size[leaves[i]]))
+                assert h == path_length(tree, x, adjust)
+            codes = [2 * f + (sign == GT) for f, sign in _oracle_paths(tree, x, [])]
+            chain = [source, *codes, end]
+            for a, b in zip(chain, chain[1:]):
+                expected[a * m + b] += 1
+        assert np.array_equal(counts, expected)
+    first = FlatTree(trees[0])
+    assert first.depth[_route(first, XT)[0]] == 2  # (0.5, -1.0): left, left
+    assert _route(first, np.empty((2, 0))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
