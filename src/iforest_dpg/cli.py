@@ -182,7 +182,7 @@ def _run_explain(
     """fit -> label -> graph -> IOP.
 
     fit routes the training set once for the scores and the transition
-    counts; the graph reuses those counts and re-routes only the outlier rows.
+    counts; the graph reuses those counts and routes only the outlier rows again.
     """
     model = fit(data, params)
     graph = build_model_graph(model, data)

@@ -6,8 +6,9 @@ pruned, split values are dropped so predicates collapse to (feature, sign)
 pairs, and the surviving transitions are counted per class and weighted into
 a directed graph between predicate nodes, a virtual source, and the two
 class terminals. The routes are the ones `fit` already walks to score the
-training set, so the builder reuses fit's transition counts and re-routes
-only the outlier rows.
+training set, so the builder reuses fit's transition counts. Only the
+outlier rows are routed again, once: their counts, and the counts of the
+traces pruned from them, are read off how many of them reach each leaf.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from .forest import (
     INLIER,
     OUTLIER,
     Dataset,
-    FlatTree,
+    FlatForest,
     ForestModel,
     SingleClassError,
+    _check_width,
+    _leaf_visits,
     _n_codes,
-    _route,
+    _rule_to_dict,
     _training_counts,
+    _transition_counts,
 )
 
 LE = "<="
@@ -131,34 +135,34 @@ def node_sort_key(node_id: str) -> tuple:
 
 
 def _tree_paths(
-    flat: FlatTree, X: np.ndarray, depth_cap: int
+    forest: FlatForest, root: int, X: np.ndarray, depth_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicate codes along each sample's root-to-leaf path in one tree.
 
-    Returns (codes, lengths, values): codes is (n, depth_cap) of
-    2*feature + went_right with -1 padding, lengths the per-sample number of
-    predicates, values the split thresholds. `traverse` uses this as a route
-    independent of `forest._route`.
+    The tree is the one rooted at node `root` of `forest`. Returns (codes,
+    lengths, values): codes is (n, depth_cap) of 2*feature + went_right with
+    -1 padding, lengths the per-sample number of predicates, values the split
+    thresholds. `traverse` uses this as a step-by-step route independent of
+    `forest._route`.
     """
     n = len(X)
     codes = np.full((n, depth_cap), -1, dtype=np.int32)
     values = np.full((n, depth_cap), np.nan)
     lengths = np.zeros(n, dtype=np.int32)
-    cur = np.zeros(n, dtype=np.int32)
+    cur = np.full(n, root, dtype=np.intp)
     rows = np.arange(n)
     for step in range(depth_cap):
-        f = flat.feature[cur]
-        internal = f >= 0
+        internal = ~forest.leaf[cur]
         if not internal.any():
             break
-        thr = flat.threshold[cur]
-        go_right = X[rows, np.where(internal, f, 0)] > thr
+        f = forest.feature[cur]
+        thr = forest.threshold[cur]
+        go_right = X[rows, f] > thr
         step_codes = 2 * f + go_right
         codes[internal, step] = step_codes[internal]
         values[internal, step] = thr[internal]
         lengths[internal] += 1
-        nxt = np.where(go_right, flat.right[cur], flat.left[cur])
-        cur = np.where(internal, nxt, cur)
+        cur = np.where(internal, forest.child[2 * cur + go_right], cur)
     return codes, lengths, values
 
 
@@ -176,11 +180,11 @@ def traverse(model: ForestModel, data: Dataset) -> list[TraceList]:
     X = data.features
     depth_cap = model.max_depth
     labels = model.labels
+    forest = model.flat_trees()
+    _check_width(forest, data.n_features)
     traces: list[TraceList] = []
-    for t, flat in enumerate(model.flat_trees()):
-        if flat.feature.max(initial=-1) >= data.n_features:
-            raise ValueError("model splits on features beyond the dataset width")
-        codes, lengths, values = _tree_paths(flat, X, depth_cap)
+    for t, root in enumerate(forest.roots):
+        codes, lengths, values = _tree_paths(forest, root, X, depth_cap)
         for s in range(len(X)):
             preds = [
                 PredicateTriple(int(codes[s, j]) // 2, LE if codes[s, j] % 2 == 0 else GT, float(values[s, j]))
@@ -277,12 +281,14 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
 
     Produces the same graph as composing the individual steps (verified by
     tests) from integer transition counts per class, without materializing
-    traces. The all-row counts come from fit's routing pass when `data`
-    holds the matrix fit routed, and from one routing pass otherwise; the
-    inlier counts are those minus the outlier rows' counts, and only the
-    outlier rows are routed again to count and prune their traces. Each edge
-    weight is c_i*w_i + c_o*w_o, computed once, exactly as `build_graph`
-    computes it.
+    traces. Every route ends at a leaf, so counts are read off how many rows
+    reach each leaf (`forest._transition_counts`). The all-row counts come
+    from fit's routing pass when `data` holds the matrix fit routed, and from
+    one routing pass otherwise; only the outlier rows are routed again, once,
+    and their kept counts are those of their visits to leaves above the depth
+    cap. The inlier counts are the all-row counts minus the outlier rows'.
+    Each edge weight is c_i*w_i + c_o*w_o, computed once, exactly as
+    `build_graph` computes it.
     """
     if data.n_samples != model.n_train:
         raise ValueError(
@@ -293,23 +299,18 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     n = data.n_samples
     d = data.n_features
     depth_cap = model.max_depth
-    trees = model.flat_trees()
-    if any(flat.feature.max(initial=-1) >= d for flat in trees):
-        raise ValueError("model splits on features beyond the dataset width")
+    forest = model.flat_trees()
 
     # Counts use the layout beside forest._route: predicate codes 0..2d-1,
     # SOURCE = 2d, END = 2d + 1.
     m = _n_codes(d)
-    outliers = np.ascontiguousarray(X[model.labels == OUTLIER].T)
-    c_outliers = np.zeros(m * m, dtype=np.int64)
-    c_pruned = np.zeros(m * m, dtype=np.int64)
-    pruned = 0
-    for flat in trees:
-        deep = flat.depth[_route(flat, outliers, c_outliers)] >= depth_cap
-        pruned += int(np.count_nonzero(deep))
-        _route(flat, outliers[:, deep], c_pruned)
-    if pruned == len(trees) * weights.n_o:
+    visits = _leaf_visits(forest, X[model.labels == OUTLIER])
+    deep = forest.depth >= depth_cap
+    pruned = int(visits[deep].sum())
+    if pruned == forest.n_trees * weights.n_o:
         raise SingleClassError("no Outlier traces remain; graph would be single-class")
+    c_outliers = _transition_counts(forest, visits, d)
+    kept = _transition_counts(forest, np.where(deep, 0, visits), d).reshape(m, m)
 
     # Graph node indexing: predicates 0..2d-1, then SOURCE, INLIER, OUTLIER.
     # END is the class terminal, so it maps to INLIER in the inlier counts
@@ -318,7 +319,6 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     src_idx, inl_idx, out_idx = k, k + 1, k + 2
     c_in = np.zeros((k + 3, k + 3), dtype=np.int64)
     c_in[:m, :m] = (_training_counts(model, X) - c_outliers).reshape(m, m)
-    kept = (c_outliers - c_pruned).reshape(m, m)
     c_out = np.zeros((k + 3, k + 3), dtype=np.int64)
     c_out[:m, : k + 1] = kept[:, : k + 1]
     c_out[:m, out_idx] = kept[:, k + 1]
@@ -339,17 +339,12 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     predicates = [
         Predicate(c // 2, LE if c % 2 == 0 else GT) for c in range(k) if present[c] > 0.0
     ]
-    rule = model.params.label_rule
     metadata = {
         "n_trees": model.params.n_trees,
         "max_subsample": model.params.max_subsample,
         "seed": model.params.seed,
         "leaf_adjustment": model.params.leaf_adjustment,
-        "label_rule": (
-            {"kind": "contamination", "fraction": rule.fraction}
-            if hasattr(rule, "fraction")
-            else {"kind": "score_threshold", "threshold": rule.threshold}
-        ),
+        "label_rule": _rule_to_dict(model.params.label_rule),
         "n_train": model.n_train,
         "subsample_size": model.subsample_size,
         "max_depth": depth_cap,

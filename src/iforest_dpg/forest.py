@@ -70,6 +70,13 @@ class Contamination:
     fraction: float
 
 
+def _rule_to_dict(rule: ScoreThreshold | Contamination) -> dict:
+    """JSON form of a label rule, as model.json and graph.json store it."""
+    if isinstance(rule, Contamination):
+        return {"kind": "contamination", "fraction": rule.fraction}
+    return {"kind": "score_threshold", "threshold": rule.threshold}
+
+
 @dataclass
 class Dataset:
     """Numeric sample matrix with feature names and optional ground-truth labels.
@@ -87,8 +94,6 @@ class Dataset:
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-dimensional, got shape {self.features.shape}")
         n, d = self.features.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 samples, got {n}")
         if d < 1:
             raise ValueError("need at least 1 feature")
         if not np.all(np.isfinite(self.features)):
@@ -114,13 +119,13 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     size: int
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     feature_index: int
     split_value: float
@@ -153,43 +158,86 @@ class ForestParams:
             raise ValueError("label_rule must be ScoreThreshold or Contamination")
 
 
-class FlatTree:
-    """Array form of one tree for vectorized traversal.
+class FlatForest:
+    """Every tree of a forest in one preorder node table, routed all at once.
 
-    Node 0 is the root. `feature[i] == -1` marks a leaf; internal nodes route
-    value <= threshold to `left`, otherwise to `right`.
+    Tree t's nodes start at `roots[t]`, in preorder; child indices are global.
+    An internal node sends value <= threshold to `child[2*i]` and larger
+    values to `child[2*i + 1]`. A leaf is its own child on both sides, reads
+    column 0 and has threshold +inf, so a row that reached it goes left and
+    stays: routing runs `max_depth` steps with no test for leaves.
+
+    Per node: `depth`, `size` (0 for internal nodes), `h` = depth + c(size)
+    (the path length a leaf contributes to a score; c only when
+    `leaf_adjustment`) and `code` = 2*feature + went_right of the edge into
+    the node, -1 at a root, whose route starts at SOURCE.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "size", "depth")
+    __slots__ = (
+        "roots", "feature", "threshold", "child", "leaf", "size", "depth",
+        "h", "code", "max_depth", "width",
+    )
 
-    def __init__(self, root: TreeNode) -> None:
-        nodes: list[TreeNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if isinstance(node, Internal):
-                stack.append(node.right)
-                stack.append(node.left)
-        count = len(nodes)
-        self.feature = np.full(count, -1, dtype=np.int32)
-        self.threshold = np.zeros(count, dtype=np.float64)
-        self.left = np.full(count, -1, dtype=np.int32)
-        self.right = np.full(count, -1, dtype=np.int32)
-        self.size = np.zeros(count, dtype=np.int32)
-        self.depth = np.zeros(count, dtype=np.int32)
+    def __init__(self, trees: list[TreeNode], leaf_adjustment: bool) -> None:
+        # Each tree is walked into small lists and made into arrays on its
+        # own, so the build never holds Python lists for the whole forest.
+        parts: list[tuple[np.ndarray, ...]] = []
+        roots: list[int] = []
+        offset = 0
+        for tree in trees:
+            feature: list[int] = []
+            threshold: list[float] = []
+            child: list[int] = []
+            size: list[int] = []
+            depth: list[int] = []
+            code: list[int] = []
+            # (node, its depth, code of the edge into it, its slot in `child`)
+            stack = [(tree, 0, -1, -1)]
+            while stack:
+                node, dep, into, slot = stack.pop()
+                i = len(feature)  # index within this tree
+                if slot >= 0:
+                    child[slot] = i
+                child += (i, i)
+                depth.append(dep)
+                code.append(into)
+                if isinstance(node, Leaf):
+                    feature.append(0)
+                    threshold.append(math.inf)
+                    size.append(node.size)
+                else:
+                    f = node.feature_index
+                    feature.append(f)
+                    threshold.append(node.split_value)
+                    size.append(0)
+                    stack.append((node.right, dep + 1, 2 * f + 1, 2 * i + 1))
+                    stack.append((node.left, dep + 1, 2 * f, 2 * i))
+            # Routing indexes with `child`, so it is intp; the rest fit int32.
+            parts.append((
+                np.array(child, dtype=np.intp) + offset,
+                np.array(feature, dtype=np.int32),
+                np.array(threshold, dtype=np.float64),
+                np.array(size, dtype=np.int32),
+                np.array(depth, dtype=np.int32),
+                np.array(code, dtype=np.int32),
+            ))
+            roots.append(offset)
+            offset += len(feature)
+        self.roots = np.array(roots, dtype=np.intp)
+        (
+            self.child, self.feature, self.threshold, self.size, self.depth, self.code
+        ) = (np.concatenate(column) for column in zip(*parts))
+        self.leaf = self.child[0::2] == np.arange(offset)
+        self.h = self.depth.astype(np.float64)
+        if leaf_adjustment:
+            self.h += _leaf_adjustment_table(int(self.size.max(initial=0)))[self.size]
+        self.max_depth = int(self.depth.max(initial=0))
+        # Columns a routed row must have: leaves read column 0.
+        self.width = int(self.feature.max(initial=0)) + 1
 
-        # Rebuild indices in preorder so layout is deterministic.
-        index: dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            if isinstance(node, Leaf):
-                self.size[i] = node.size
-                self.depth[i] = node.depth
-            else:
-                self.feature[i] = node.feature_index
-                self.threshold[i] = node.split_value
-                self.left[i] = index[id(node.left)]
-                self.right[i] = index[id(node.right)]
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
 
     @property
     def n_nodes(self) -> int:
@@ -205,7 +253,7 @@ class ForestModel:
     n_train: int
     scores: np.ndarray
     labels: np.ndarray
-    _flat: list[FlatTree] | None = field(default=None, repr=False, compare=False)
+    _flat: FlatForest | None = field(default=None, repr=False, compare=False)
     # (key of the training matrix, its all-row transition counts) from fit.
     _train_counts: tuple[tuple, np.ndarray] | None = field(
         default=None, repr=False, compare=False
@@ -219,9 +267,10 @@ class ForestModel:
     def max_depth(self) -> int:
         return max_tree_depth(self.subsample_size)
 
-    def flat_trees(self) -> list[FlatTree]:
+    def flat_trees(self) -> FlatForest:
+        """The forest as one node table, built on first use."""
         if self._flat is None:
-            self._flat = [FlatTree(root) for root in self.trees]
+            self._flat = FlatForest(self.trees, self.params.leaf_adjustment)
         return self._flat
 
     def outlier_count(self) -> int:
@@ -274,6 +323,8 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     """
     X = data.features
     n = data.n_samples
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
     if np.all(X == X[0]):
         warnings.warn(
             "all samples are identical; every tree is a single leaf", stacklevel=2
@@ -295,10 +346,14 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
         labels=np.empty(0, dtype="<U7"),
     )
     # The one routing pass over the training set: it yields the scores and the
-    # transition counts the graph builder reuses.
-    counts = np.zeros(_n_codes(data.n_features) ** 2, dtype=np.int64)
-    mean_paths = _mean_path_lengths(model, np.ascontiguousarray(X.T), counts)
-    model._train_counts = (_matrix_key(X), counts)
+    # leaf occupancy the graph builder's transition counts are read from.
+    forest = model.flat_trees()
+    visits = np.zeros(forest.n_nodes, dtype=np.int64)
+    mean_paths = _mean_path_lengths(forest, X, visits)
+    model._train_counts = (
+        _matrix_key(X),
+        _transition_counts(forest, visits, data.n_features),
+    )
     model.scores = anomaly_score(mean_paths, sub_n)
     model.labels = label_scores(model.scores, params.label_rule)
     return model
@@ -308,7 +363,15 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
 # node codes: 2*feature + went_right for each split predicate, SOURCE = 2d
 # before the root and END = 2d + 1 after the leaf. counts[prev*M + code] is
 # the number of routes that stepped from `prev` to `code`, so a route through
-# a tree that is a single leaf adds one SOURCE -> END.
+# a tree that is a single leaf adds one SOURCE -> END. Every route ends at a
+# leaf, so the counts follow from how many rows reach each leaf: a node is
+# passed by the rows at the leaves below it, each passing row steps into the
+# node from its parent's code, and each row at a leaf steps on to END.
+
+# (tree, row) pairs routed per block, so each of a block's node, index and
+# value arrays is 128 KB whatever the number of rows. Larger blocks were no
+# faster at 50 000 x 20 and raised the peak memory of 200 x 6 fits.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _n_codes(n_features: int) -> int:
@@ -316,43 +379,78 @@ def _n_codes(n_features: int) -> int:
     return 2 * n_features + 2
 
 
-def _route(
-    flat: FlatTree, XT: np.ndarray, counts: np.ndarray | None = None
-) -> np.ndarray:
-    """Leaf node index reached by every row of the feature-major matrix XT.
+def _check_width(forest: FlatForest, n_features: int) -> None:
+    if n_features < forest.width:
+        raise ValueError(
+            "model splits on features beyond the dataset width: it reads "
+            f"column index {forest.width - 1}, the data has {n_features} columns"
+        )
 
-    XT is X.T as a contiguous (n_features, n_rows) array. Only rows still at
-    internal nodes are followed; a row drops out at its leaf. When `counts`
-    (int64, length M*M) is given, every transition of every route is added
-    into it.
+
+def _route(forest: FlatForest, X: np.ndarray) -> np.ndarray:
+    """Leaf reached by every row of X in every tree: (n_trees, n_rows) node indices.
+
+    All (tree, row) pairs step together for exactly `forest.max_depth` steps;
+    a pair at a leaf stays there. X is read row-major, so it must be at least
+    `forest.width` columns wide, and its rows are bounded per call: both are
+    `_leaf_blocks`'s job.
     """
-    d, n = XT.shape
-    m = _n_codes(d)
-    values = XT.ravel()
-    feature = flat.feature.astype(np.intp)
-    child = np.stack([flat.left, flat.right], axis=1).ravel().astype(np.intp)
-    leaf = np.empty(n, dtype=np.intp)
-    rows = np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    # from_row[i] = M * (code of row i's last node); every route starts at SOURCE.
-    from_row = np.full(n, (m - 2) * m)
-    while rows.size:
-        f = feature.take(node)
-        at_leaf = f < 0
-        if at_leaf.any():
-            leaf[rows[at_leaf]] = node[at_leaf]
-            inner = ~at_leaf
-            if counts is not None:
-                counts += np.bincount(from_row[at_leaf] + (m - 1), minlength=m * m)
-                from_row = from_row[inner]
-            rows, node, f = rows[inner], node[inner], f[inner]
-        right = values.take(f * n + rows) > flat.threshold.take(node)
-        code = 2 * f + right
-        if counts is not None:
-            counts += np.bincount(from_row + code, minlength=m * m)
-            from_row = code * m
+    n, d = X.shape
+    values = np.ascontiguousarray(X).ravel()
+    node = np.repeat(forest.roots, n)
+    row_offset = np.tile(np.arange(0, n * d, d), forest.n_trees)
+    feature, threshold, child = forest.feature, forest.threshold, forest.child
+    for _ in range(forest.max_depth):
+        right = values.take(row_offset + feature.take(node)) > threshold.take(node)
         node = child.take(2 * node + right)
-    return leaf
+    return node.reshape(forest.n_trees, n)
+
+
+def _leaf_blocks(forest: FlatForest, X: np.ndarray):
+    """Yield (first row, `_route` leaves) for consecutive blocks of X's rows."""
+    _check_width(forest, X.shape[1])
+    step = max(1, _BLOCK_PAIRS // forest.n_trees)
+    for start in range(0, len(X), step):
+        yield start, _route(forest, X[start : start + step])
+
+
+def _leaf_visits(forest: FlatForest, X: np.ndarray) -> np.ndarray:
+    """Number of X's rows that reach each node, nonzero only at leaves."""
+    visits = np.zeros(forest.n_nodes, dtype=np.int64)
+    for _, leaves in _leaf_blocks(forest, X):
+        visits += np.bincount(leaves.ravel(), minlength=forest.n_nodes)
+    return visits
+
+
+def _transition_counts(
+    forest: FlatForest, visits: np.ndarray, n_features: int
+) -> np.ndarray:
+    """Transition counts (int64, length M*M) of the routes that end as `visits` says.
+
+    `visits[j]` is the number of routes that end at leaf j. Counting is in
+    integers, so the result does not depend on the order of trees or rows.
+    """
+    m = _n_codes(n_features)
+    source, end = m - 2, m - 1
+    kids_of = forest.child.reshape(-1, 2)
+    # Routes through each node, filled in from the deepest level up, one
+    # level at a time so the temporaries stay small.
+    through = np.array(visits, dtype=np.int64)
+    counts = np.zeros(m * m, dtype=np.int64)
+    for level in range(forest.max_depth, -1, -1):
+        at = np.flatnonzero(forest.depth == level)
+        into = forest.code[at].astype(np.intp)
+        into[into < 0] = source
+        leaf = forest.leaf[at]
+        # A route at a leaf steps on to END; a route through an internal
+        # node steps on to the code of the child it went to.
+        np.add.at(counts, into[leaf] * m + end, through[at[leaf]])
+        inner = at[~leaf]
+        kids = kids_of[inner]
+        through[inner] = through[kids].sum(axis=1)
+        steps = 2 * forest.feature[inner, None] + np.array([0, 1])
+        np.add.at(counts, into[~leaf, None] * m + steps, through[kids])
+    return counts
 
 
 def _matrix_key(X: np.ndarray) -> tuple:
@@ -368,26 +466,27 @@ def _training_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """
     if model._train_counts is not None and model._train_counts[0] == _matrix_key(X):
         return model._train_counts[1]
-    counts = np.zeros(_n_codes(X.shape[1]) ** 2, dtype=np.int64)
-    XT = np.ascontiguousarray(X.T)
-    for flat in model.flat_trees():
-        _route(flat, XT, counts)
-    return counts
+    forest = model.flat_trees()
+    return _transition_counts(forest, _leaf_visits(forest, X), X.shape[1])
 
 
 def _mean_path_lengths(
-    model: ForestModel, XT: np.ndarray, counts: np.ndarray | None = None
+    forest: FlatForest, X: np.ndarray, visits: np.ndarray | None = None
 ) -> np.ndarray:
-    adjust = model.params.leaf_adjustment
-    c_table = _leaf_adjustment_table(model.subsample_size) if adjust else None
-    total = np.zeros(XT.shape[1])
-    for flat in model.flat_trees():
-        leaves = _route(flat, XT, counts)
-        h = flat.depth[leaves].astype(np.float64)
-        if c_table is not None:
-            h += c_table[flat.size[leaves]]
-        total += h
-    return total / model.params.n_trees
+    """Mean path length of every row of X; adds each row's leaves into `visits`.
+
+    A row's path lengths are summed tree by tree in tree order, so scores do
+    not depend on the block size.
+    """
+    total = np.empty(len(X))
+    for start, leaves in _leaf_blocks(forest, X):
+        # A running sum down the trees fixes the order of the additions;
+        # `sum` may add pairwise, e.g. when the block is a single row.
+        paths = np.cumsum(forest.h.take(leaves), axis=0)
+        total[start : start + leaves.shape[1]] = paths[-1]
+        if visits is not None:
+            visits += np.bincount(leaves.ravel(), minlength=forest.n_nodes)
+    return total / forest.n_trees
 
 
 def path_length(tree: TreeNode, sample: np.ndarray, leaf_adjustment: bool) -> float:
@@ -417,12 +516,17 @@ def anomaly_score(
 
 
 def score_samples(model: ForestModel, data: Dataset | np.ndarray) -> np.ndarray:
-    """Anomaly scores for arbitrary samples under a fitted model."""
+    """Anomaly scores for arbitrary samples under a fitted model.
+
+    Any number of rows is scored; a matrix narrower than the model's highest
+    split feature is a ValueError.
+    """
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-dimensional sample matrix")
-    XT = np.ascontiguousarray(X.T)
-    return anomaly_score(_mean_path_lengths(model, XT), model.subsample_size)
+    return anomaly_score(
+        _mean_path_lengths(model.flat_trees(), X), model.subsample_size
+    )
 
 
 def label_scores(

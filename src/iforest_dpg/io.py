@@ -39,6 +39,7 @@ from .forest import (
     Leaf,
     ScoreThreshold,
     TreeNode,
+    _rule_to_dict,
 )
 from .metrics import IopReport, rank_report
 
@@ -206,12 +207,6 @@ def _node_from_dict(obj: dict[str, Any], depth: int) -> TreeNode:
     )
 
 
-def _rule_to_dict(rule: ScoreThreshold | Contamination) -> dict[str, Any]:
-    if isinstance(rule, Contamination):
-        return {"kind": "contamination", "fraction": rule.fraction}
-    return {"kind": "score_threshold", "threshold": rule.threshold}
-
-
 def _rule_from_dict(obj: dict[str, Any]) -> ScoreThreshold | Contamination:
     if obj["kind"] == "contamination":
         return Contamination(fraction=float(obj["fraction"]))
@@ -239,25 +234,33 @@ def model_to_dict(model: ForestModel) -> dict[str, Any]:
 
 
 def model_from_dict(obj: dict[str, Any]) -> ForestModel:
+    """Rebuild a model; a missing or mistyped field is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"malformed model file: expected an object, got {type(obj).__name__}"
+        )
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported model schema_version: {obj.get('schema_version')!r}"
         )
-    p = obj["params"]
-    params = ForestParams(
-        n_trees=int(p["n_trees"]),
-        max_subsample=int(p["max_subsample"]),
-        seed=int(p["seed"]),
-        leaf_adjustment=bool(p["leaf_adjustment"]),
-        label_rule=_rule_from_dict(p["label_rule"]),
-    )
-    return ForestModel(
-        trees=[_node_from_dict(t, 0) for t in obj["trees"]],
-        params=params,
-        n_train=int(obj["n_train"]),
-        scores=np.asarray(obj["scores"], dtype=np.float64),
-        labels=np.asarray(obj["labels"], dtype="<U7"),
-    )
+    try:
+        p = obj["params"]
+        params = ForestParams(
+            n_trees=int(p["n_trees"]),
+            max_subsample=int(p["max_subsample"]),
+            seed=int(p["seed"]),
+            leaf_adjustment=bool(p["leaf_adjustment"]),
+            label_rule=_rule_from_dict(p["label_rule"]),
+        )
+        return ForestModel(
+            trees=[_node_from_dict(t, 0) for t in obj["trees"]],
+            params=params,
+            n_train=int(obj["n_train"]),
+            scores=np.asarray(obj["scores"], dtype=np.float64),
+            labels=np.asarray(obj["labels"], dtype="<U7"),
+        )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(path: str | Path, model: ForestModel) -> None:
@@ -267,7 +270,10 @@ def save_model(path: str | Path, model: ForestModel) -> None:
 
 
 def load_model(path: str | Path) -> ForestModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except RecursionError:
+        raise ValueError("malformed model file: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,96 @@ def test_score_table_output(tmp_path, capsys, fixture_csv):
     assert len(stdout.splitlines()) == 201
 
 
+def _trained_model(tmp_path, capsys, fixture_csv):
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(
+        capsys,
+        "train", str(fixture_csv),
+        "--trees", "20", "--seed", "7", "--out", str(model_path),
+    )
+    assert code == 0
+    return model_path
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_score_rejects_narrower_csv(tmp_path, capsys, fixture_csv):
+    # Three of the model's six columns: an error, never a silent score.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    narrow = tmp_path / "narrow.csv"
+    _write_rows(narrow, [row[:3] for row in rows])
+    code, stdout, err = run(capsys, "score", str(narrow), "--model", str(model_path))
+    assert code == 1
+    assert "beyond the dataset width" in err
+    assert stdout == ""
+
+
+def test_score_single_row_matches_batch(tmp_path, capsys, fixture_csv):
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    code, stdout, _ = run(
+        capsys, "score", str(fixture_csv), "--model", str(model_path), "--json"
+    )
+    assert code == 0
+    batch = json.loads(stdout)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    one = tmp_path / "one.csv"
+    _write_rows(one, [rows[0], rows[6]])
+    code, stdout, err = run(
+        capsys, "score", str(one), "--model", str(model_path), "--json"
+    )
+    assert code == 0, err
+    [record] = json.loads(stdout)
+    assert record["score"] == batch[5]["score"]
+
+
+def test_train_rejects_single_row(tmp_path, capsys, fixture_csv):
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    one = tmp_path / "one.csv"
+    _write_rows(one, rows[:2])
+    code, _, err = run(capsys, "train", str(one), "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert "need at least 2 samples" in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["trees"][0].pop("feature"),
+        lambda doc: doc.pop("params"),
+        lambda doc: doc.__setitem__("trees", 3),
+        lambda doc: doc["params"].__setitem__("label_rule", []),
+    ],
+)
+def test_score_rejects_malformed_model(tmp_path, capsys, fixture_csv, mutate):
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    doc = json.loads(model_path.read_text())
+    mutate(doc)
+    model_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert code == 1
+    assert "malformed model file" in err
+
+
+def test_score_rejects_deeply_nested_model(tmp_path, capsys, fixture_csv):
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    doc = json.loads(model_path.read_text())
+    depth = 5000
+    deep = '{"feature": 0, "split": 0.0, "left": ' * depth + '{"size": 1}'
+    deep += ', "right": {"size": 1}}' * depth
+    doc["trees"] = ["TREE"]
+    model_path.write_text(json.dumps(doc).replace('"TREE"', deep))
+    code, _, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert code == 1
+    assert "malformed model file" in err
+
+
 # ---------------------------------------------------------------------------
 # explain
 

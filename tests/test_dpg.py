@@ -283,7 +283,7 @@ def test_build_graph_errors():
 
 
 def _oracle_paths(node, x, path):
-    """Recursive root-to-leaf predicate collection, independent of FlatTree."""
+    """Recursive root-to-leaf predicate collection, independent of FlatForest."""
     if isinstance(node, Leaf):
         return path
     if x[node.feature_index] <= node.split_value:

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iforest_dpg.dpg import GT
+from iforest_dpg import forest as forest_module
+from iforest_dpg.dpg import GT, _tree_paths
 from iforest_dpg.forest import (
     C1,
     Contamination,
     Dataset,
-    FlatTree,
+    FlatForest,
     ForestParams,
     Internal,
     Leaf,
     ScoreThreshold,
     SingleClassError,
     _route,
+    _transition_counts,
     anomaly_score,
     average_path_normalizer,
     fit,
@@ -175,29 +177,99 @@ def test_route_matches_object_walk_on_edge_cases():
     X = np.array(
         [[0.5, -1.0], [0.5, 0.0], [0.9, 2.0], [0.1, 3.0], [0.2, 3.5], [0.5, 2.0]]
     )
-    XT = np.ascontiguousarray(X.T)
     m = 2 * X.shape[1] + 2
     source, end = m - 2, m - 1
-    for tree in trees:
-        flat = FlatTree(tree)
-        counts = np.zeros(m * m, dtype=np.int64)
-        leaves = _route(flat, XT, counts)
-        assert np.array_equal(_route(flat, XT), leaves)
-        expected = np.zeros(m * m, dtype=np.int64)
-        for i, x in enumerate(X):
-            for adjust in (False, True):
-                h = float(flat.depth[leaves[i]])
-                if adjust and flat.size[leaves[i]] > 1:
-                    h += average_path_normalizer(int(flat.size[leaves[i]]))
+    for adjust in (False, True):
+        forest = FlatForest(trees, adjust)
+        leaves = _route(forest, X)
+        assert leaves.shape == (len(trees), len(X))
+        for t, tree in enumerate(trees):
+            for i, x in enumerate(X):
+                leaf = leaves[t, i]
+                assert forest.leaf[leaf]
+                h = float(forest.depth[leaf])
+                if adjust and forest.size[leaf] > 1:
+                    h += average_path_normalizer(int(forest.size[leaf]))
                 assert h == path_length(tree, x, adjust)
+                assert forest.h[leaf] == h
+    for tree in trees:
+        single = FlatForest([tree], True)
+        visits = np.bincount(_route(single, X)[0], minlength=single.n_nodes)
+        expected = np.zeros(m * m, dtype=np.int64)
+        for x in X:
             codes = [2 * f + (sign == GT) for f, sign in _oracle_paths(tree, x, [])]
             chain = [source, *codes, end]
             for a, b in zip(chain, chain[1:]):
                 expected[a * m + b] += 1
-        assert np.array_equal(counts, expected)
-    first = FlatTree(trees[0])
-    assert first.depth[_route(first, XT)[0]] == 2  # (0.5, -1.0): left, left
-    assert _route(first, np.empty((2, 0))).shape == (0,)
+        assert np.array_equal(_transition_counts(single, visits, X.shape[1]), expected)
+    first = FlatForest(trees[:1], True)
+    assert first.depth[_route(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
+    assert _route(first, np.empty((0, 2))).shape == (1, 0)
+
+
+def _stepwise_counts(forest, X, depth_cap, keep):
+    """Transition counts by walking each kept (tree, row) route step by step."""
+    m = 2 * X.shape[1] + 2
+    counts = np.zeros(m * m, dtype=np.int64)
+    for root in forest.roots:
+        codes, lengths, _ = _tree_paths(forest, root, X, depth_cap)
+        for i in range(len(X)):
+            if not keep(lengths[i]):
+                continue
+            chain = [m - 2, *codes[i, : lengths[i]].tolist(), m - 1]
+            for a, b in zip(chain, chain[1:]):
+                counts[a * m + b] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transition_counts_match_stepwise_routes(seed):
+    # Counts read off leaf occupancy must equal counting every step of every
+    # route, for all rows, for a row subset, and for deep leaves only.
+    rng = np.random.default_rng(seed)
+    n, d = 60, 3
+    X = rng.normal(size=(n, d)).round(1)  # rounding makes split-value ties
+    X[n // 2 :] = X[: n - n // 2]  # every row appears twice
+    data = Dataset(features=X, feature_names=[f"F{i}" for i in range(d)])
+    model = fit(data, ForestParams(n_trees=12, max_subsample=32, seed=seed))
+    forest = model.flat_trees()
+    cap = model.max_depth
+    visits = np.bincount(_route(forest, X).ravel(), minlength=forest.n_nodes)
+    assert np.array_equal(
+        _transition_counts(forest, visits, d),
+        _stepwise_counts(forest, X, cap, lambda k: True),
+    )
+    assert np.array_equal(model._train_counts[1], _transition_counts(forest, visits, d))
+    subset = X[rng.choice(n, size=17, replace=False)]
+    sub_visits = np.bincount(_route(forest, subset).ravel(), minlength=forest.n_nodes)
+    assert np.array_equal(
+        _transition_counts(forest, sub_visits, d),
+        _stepwise_counts(forest, subset, cap, lambda k: True),
+    )
+    deep_visits = np.where(forest.depth >= cap, sub_visits, 0)
+    assert deep_visits.sum() > 0
+    assert np.array_equal(
+        _transition_counts(forest, deep_visits, d),
+        _stepwise_counts(forest, subset, cap, lambda k: k >= cap),
+    )
+
+
+def test_path_sums_follow_tree_order(small_model, monkeypatch):
+    # Scores add each tree's path length in tree order, block by block; a
+    # plain per-tree loop must give the same bits. Blocks of 3 rows leave a
+    # last block of 1 of the 40 rows.
+    data, model = small_model
+    forest = model.flat_trees()
+    leaves = _route(forest, data.features)
+    total = np.zeros(data.n_samples)
+    for t in range(forest.n_trees):
+        total += forest.h[leaves[t]]
+    expected = anomaly_score(total / forest.n_trees, model.subsample_size)
+    assert np.array_equal(model.scores, expected)
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 3 * forest.n_trees)
+    assert np.array_equal(score_samples(model, data), expected)
+    for i in range(data.n_samples):
+        assert score_samples(model, data.features[i : i + 1])[0] == expected[i]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +413,10 @@ def test_params_validation():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(features=np.zeros((1, 2)), feature_names=["a", "b"])
+    # The two-sample floor is fit's: a single row is a valid batch to score.
+    one_row = Dataset(features=np.zeros((1, 2)), feature_names=["a", "b"])
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        fit(one_row, ForestParams(n_trees=1))
     with pytest.raises(ValueError):
         Dataset(features=np.array([[1.0, np.inf]] * 2), feature_names=["a", "b"])
     with pytest.raises(ValueError):

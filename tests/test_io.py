@@ -170,6 +170,12 @@ def test_model_rejects_wrong_schema_version(small_model):
         model_from_dict(doc)
 
 
+def test_model_rejects_documents_that_are_not_objects():
+    for doc in ([1, 2], "model", None):
+        with pytest.raises(ValueError, match="malformed model file"):
+            model_from_dict(doc)
+
+
 def test_model_json_preserves_label_rule_kinds(tmp_path, small_data):
     for rule in (Contamination(0.1), None):
         params = (
