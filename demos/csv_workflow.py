@@ -17,6 +17,7 @@ from iforest_dpg import (
     Contamination,
     Dataset,
     ForestParams,
+    ScoreThreshold,
     build_model_graph,
     fit,
     label_scores,
@@ -57,11 +58,13 @@ def main():
         f"saved to {model_path.name}"
     )
 
-    # 3. reload and score fresh samples with the saved model
+    # 3. reload and score fresh samples with the saved model; the training
+    #    score cutoff labels them, so each label holds in any batch
     reloaded = load_model(model_path)
     probes = np.array([[5.0, 5.0, 5.0, 5.0], [11.0, 5.0, -1.0, 11.0]])
     scores = score_samples(reloaded, probes)
-    labels = label_scores(scores, reloaded.params.label_rule)
+    labels = label_scores(scores, ScoreThreshold(reloaded.cutoff))
+    print(f"  score cutoff from training: {reloaded.cutoff:.4f} (Outlier iff score >= cutoff)")
     for row, s, l in zip(probes, scores, labels):
         print(f"  probe {row.tolist()} -> score {s:.4f} ({l})")
 

@@ -19,10 +19,11 @@ from .dpg import (
     GT,
     LE,
     DpGraph,
+    Predicate,
     SingleClassError,
     build_model_graph,
-    node_sort_key,
     predicate_id,
+    predicate_label,
 )
 from .forest import (
     Contamination,
@@ -60,8 +61,8 @@ DATASET_CONTAMINATION = 0.0361
 
 # Predicates that must come out negative, per experiment.
 FIXTURE_NEGATIVE_SET = {
-    "one": ("F4_GT", "F5_GT", "F0_GT"),
-    "two": ("F0_GT", "F3_LE", "F1_GT"),
+    "one": (Predicate(4, GT), Predicate(5, GT), Predicate(0, GT)),
+    "two": (Predicate(0, GT), Predicate(3, LE), Predicate(1, GT)),
 }
 
 
@@ -267,7 +268,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     data = _read_input(args)
     model = load_model(args.model)
     scores = score_samples(model, data)
-    labels = label_scores(scores, model.params.label_rule)
+    # The training-score cutoff, not the rule: a row's label must not depend
+    # on the batch it is scored in.
+    labels = label_scores(scores, ScoreThreshold(model.cutoff))
     if args.out is not None:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -305,20 +308,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sign_stats(per_seed: list[dict[str, float]]) -> dict[str, dict]:
+def _sign_stats(per_seed: list[dict[Predicate, float]]) -> dict[Predicate, dict]:
     """Mean IOP and sign-agreement rate per predicate across seeds.
 
     Agreement is the fraction of seeds (among those where the predicate
     appears) whose IOP sign matches the sign of the mean IOP.
     """
-    ids = sorted({pid for seed in per_seed for pid in seed}, key=node_sort_key)
-    stats: dict[str, dict] = {}
-    for pid in ids:
-        values = [seed[pid] for seed in per_seed if pid in seed]
+    predicates = sorted(
+        {p for seed in per_seed for p in seed}, key=lambda p: (p.feature_index, p.sign != LE)
+    )
+    stats: dict[Predicate, dict] = {}
+    for p in predicates:
+        values = [seed[p] for seed in per_seed if p in seed]
         mean = sum(values) / len(values)
         ref = mean >= 0
         agree = sum(1 for v in values if (v >= 0) == ref) / len(values)
-        stats[pid] = {
+        stats[p] = {
             "mean_iop": mean,
             "sign_agreement": agree,
             "n_present": len(values),
@@ -326,15 +331,8 @@ def _sign_stats(per_seed: list[dict[str, float]]) -> dict[str, dict]:
     return stats
 
 
-def _pid_label(pid: str, names: list[str] | None) -> str:
-    feature, _, sign = pid.rpartition("_")
-    idx = int(feature[1:])
-    name = names[idx] if names else feature
-    return f"{name} {LE if sign == 'LE' else GT}"
-
-
 def _print_repro(
-    stats: dict[str, dict],
+    stats: dict[Predicate, dict],
     checks: list[dict],
     n_seeds: int,
     base_seed: int,
@@ -350,8 +348,8 @@ def _print_repro(
                     "seeds": n_seeds,
                     "base_seed": base_seed,
                     "predicates": [
-                        {"id": pid, "label": _pid_label(pid, names), **st}
-                        for pid, st in stats.items()
+                        {"id": predicate_id(p), "label": predicate_label(p, names), **st}
+                        for p, st in stats.items()
                     ],
                     "checks": checks,
                     "pass": overall,
@@ -361,11 +359,11 @@ def _print_repro(
         )
         return
     print(f"seeds: {n_seeds} (base {base_seed})")
-    label_width = max(len(_pid_label(pid, names)) for pid in stats)
+    label_width = max(len(predicate_label(p, names)) for p in stats)
     print(f"{'predicate'.ljust(label_width)} | mean IOP | sign agreement")
-    for pid, st in stats.items():
+    for p, st in stats.items():
         print(
-            f"{_pid_label(pid, names).ljust(label_width)} | "
+            f"{predicate_label(p, names).ljust(label_width)} | "
             f"{st['mean_iop']:+.4f}  | {st['sign_agreement']:.0%} "
             f"({st['n_present']}/{n_seeds} seeds)"
         )
@@ -378,9 +376,9 @@ def _print_repro(
     print(f"overall: {'PASS' if overall else 'FAIL'}")
 
 
-def _most_negative(by_id: dict[str, float], k: int) -> set[str]:
-    order = sorted(by_id.items(), key=lambda kv: (kv[1], kv[0]))
-    return {pid for pid, _ in order[:k]}
+def _most_negative(iops: dict[Predicate, float], k: int) -> set[Predicate]:
+    order = sorted(iops.items(), key=lambda kv: (kv[1], predicate_id(kv[0])))
+    return {p for p, _ in order[:k]}
 
 
 def _repro_fixture(args: argparse.Namespace) -> int:
@@ -389,7 +387,7 @@ def _repro_fixture(args: argparse.Namespace) -> int:
     rule = Contamination(FIXTURE_CONTAMINATION[which])
     injected = {0} if which == "one" else {0, 1, 2, 3}
 
-    per_seed: list[dict[str, float]] = []
+    per_seed: list[dict[Predicate, float]] = []
     detect_top3 = 0
     all_negative = 0
     names: list[str] | None = None
@@ -401,12 +399,12 @@ def _repro_fixture(args: argparse.Namespace) -> int:
             n_trees=args.trees, seed=seed, label_rule=rule
         )
         model, graph, report = _run_explain(data, params)
-        by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
-        per_seed.append(by_id)
+        iops = {e.predicate: e.iop for e in report.entries}
+        per_seed.append(iops)
 
         detected = {int(i) for i in np.flatnonzero(model.labels == OUTLIER)}
-        neg_ok = all(by_id.get(pid, 1.0) < 0 for pid in negative)
-        top3_ok = _most_negative(by_id, 3) == set(negative)
+        neg_ok = all(iops.get(p, 1.0) < 0 for p in negative)
+        top3_ok = _most_negative(iops, 3) == set(negative)
         # Fixture one's check also demands the injected sample be the
         # labeled outlier; fixture two's is a pure sign/rank check.
         detect_ok = detected == injected if which == "one" else True
@@ -415,7 +413,7 @@ def _repro_fixture(args: argparse.Namespace) -> int:
         if neg_ok:
             all_negative += 1
 
-    neg_names = ", ".join(_pid_label(p, names) for p in negative)
+    neg_names = ", ".join(predicate_label(p, names) for p in negative)
     if which == "one":
         checks = [
             {
@@ -453,25 +451,25 @@ def _repro_dataset(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"dataset repro expects a {required!r} column; found {names}"
             )
-    tsh_gt = f"F{names.index('TSH')}_GT"
-    t3_gt = f"F{names.index('T3')}_GT"
+    tsh_gt = Predicate(names.index("TSH"), GT)
+    t3_gt = Predicate(names.index("T3"), GT)
     fraction = (
         args.contamination if args.contamination is not None else DATASET_CONTAMINATION
     )
     rule = Contamination(fraction)
 
-    per_seed: list[dict[str, float]] = []
+    per_seed: list[dict[Predicate, float]] = []
     hits = 0
     for seed in range(args.seed, args.seed + args.seeds):
         params = ForestParams(n_trees=args.trees, seed=seed, label_rule=rule)
         _, _, report = _run_explain(data, params)
-        by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
-        per_seed.append(by_id)
+        iops = {e.predicate: e.iop for e in report.entries}
+        per_seed.append(iops)
 
-        negatives = {pid for pid, v in by_id.items() if v < 0}
-        tsh = by_id.get(tsh_gt)
+        negatives = {p for p, v in iops.items() if v < 0}
+        tsh = iops.get(tsh_gt)
         unique_min = tsh is not None and all(
-            v > tsh for pid, v in by_id.items() if pid != tsh_gt
+            v > tsh for p, v in iops.items() if p != tsh_gt
         )
         if (
             unique_min

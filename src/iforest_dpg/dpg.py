@@ -180,7 +180,7 @@ def traverse(model: ForestModel, data: Dataset) -> list[TraceList]:
     X = data.features
     depth_cap = model.max_depth
     labels = model.labels
-    forest = model.flat_trees()
+    forest = model.forest
     _check_width(forest, data.n_features)
     traces: list[TraceList] = []
     for t, root in enumerate(forest.roots):
@@ -299,7 +299,7 @@ def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
     n = data.n_samples
     d = data.n_features
     depth_cap = model.max_depth
-    forest = model.flat_trees()
+    forest = model.forest
 
     # Counts use the layout beside forest._route: predicate codes 0..2d-1,
     # SOURCE = 2d, END = 2d + 1.

@@ -1,9 +1,12 @@
 """Isolation forest training, scoring, and inlier/outlier labeling.
 
 Trees are grown on uniform random subsamples with uniformly random
-feature/value splits. Anomaly scores follow the classic path-length
+feature/value splits, each straight into preorder arrays; a fitted forest is
+one node table of all trees (`FlatForest`), the only tree form, which every
+routing pass reads. Anomaly scores follow the classic path-length
 normalization: s = 2^(-E[h(x)] / c(n)) where c(n) is the expected
-unsuccessful-search path length in a binary search tree of n points.
+unsuccessful-search path length in a binary search tree of n points. New
+rows are labeled by the model's score cutoff, fixed at fit time.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,23 +123,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    size: int
-    depth: int
-
-
-@dataclass(frozen=True, slots=True)
-class Internal:
-    feature_index: int
-    split_value: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Internal | Leaf
-
-
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 200
@@ -156,21 +143,31 @@ class ForestParams:
                 )
         elif not isinstance(self.label_rule, ScoreThreshold):
             raise ValueError("label_rule must be ScoreThreshold or Contamination")
+        elif not math.isfinite(self.label_rule.threshold):
+            # model.json stores the threshold and the cutoff as plain numbers.
+            raise ValueError(f"score threshold must be finite, got {self.label_rule.threshold}")
 
 
 class FlatForest:
-    """Every tree of a forest in one preorder node table, routed all at once.
+    """Every tree of a forest in one node table, routed all at once.
 
-    Tree t's nodes start at `roots[t]`, in preorder; child indices are global.
-    An internal node sends value <= threshold to `child[2*i]` and larger
-    values to `child[2*i + 1]`. A leaf is its own child on both sides, reads
-    column 0 and has threshold +inf, so a row that reached it goes left and
-    stays: routing runs `max_depth` steps with no test for leaves.
+    It is built from per-tree preorder arrays, the form `fit` grows and
+    model.json stores, one array per tree in each argument: `feature`, -1 at
+    a leaf; `split`, the split value, unused at a leaf; `right`, the
+    tree-local index of the right child, -1 at a leaf; and `size`, the
+    subsample rows at a leaf, 0 at an internal node. The left child of
+    internal node i is node i + 1, and every child comes after its parent.
 
-    Per node: `depth`, `size` (0 for internal nodes), `h` = depth + c(size)
-    (the path length a leaf contributes to a score; c only when
-    `leaf_adjustment`) and `code` = 2*feature + went_right of the edge into
-    the node, -1 at a root, whose route starts at SOURCE.
+    In the table tree t's nodes start at `roots[t]` and child indices are
+    global. An internal node sends value <= threshold to `child[2*i]` and
+    larger values to `child[2*i + 1]`. A leaf is its own child on both sides,
+    reads column 0 and has threshold +inf, so a row that reached it goes left
+    and stays: routing runs `max_depth` steps with no test for leaves.
+
+    Per node: `depth`, `size`, `h` = depth + c(size) (the path length a leaf
+    contributes to a score; c only when `leaf_adjustment`) and `code` =
+    2*feature + went_right of the edge into the node, -1 at a root, whose
+    route starts at SOURCE.
     """
 
     __slots__ = (
@@ -178,56 +175,39 @@ class FlatForest:
         "h", "code", "max_depth", "width",
     )
 
-    def __init__(self, trees: list[TreeNode], leaf_adjustment: bool) -> None:
-        # Each tree is walked into small lists and made into arrays on its
-        # own, so the build never holds Python lists for the whole forest.
-        parts: list[tuple[np.ndarray, ...]] = []
-        roots: list[int] = []
-        offset = 0
-        for tree in trees:
-            feature: list[int] = []
-            threshold: list[float] = []
-            child: list[int] = []
-            size: list[int] = []
-            depth: list[int] = []
-            code: list[int] = []
-            # (node, its depth, code of the edge into it, its slot in `child`)
-            stack = [(tree, 0, -1, -1)]
-            while stack:
-                node, dep, into, slot = stack.pop()
-                i = len(feature)  # index within this tree
-                if slot >= 0:
-                    child[slot] = i
-                child += (i, i)
-                depth.append(dep)
-                code.append(into)
-                if isinstance(node, Leaf):
-                    feature.append(0)
-                    threshold.append(math.inf)
-                    size.append(node.size)
-                else:
-                    f = node.feature_index
-                    feature.append(f)
-                    threshold.append(node.split_value)
-                    size.append(0)
-                    stack.append((node.right, dep + 1, 2 * f + 1, 2 * i + 1))
-                    stack.append((node.left, dep + 1, 2 * f, 2 * i))
-            # Routing indexes with `child`, so it is intp; the rest fit int32.
-            parts.append((
-                np.array(child, dtype=np.intp) + offset,
-                np.array(feature, dtype=np.int32),
-                np.array(threshold, dtype=np.float64),
-                np.array(size, dtype=np.int32),
-                np.array(depth, dtype=np.int32),
-                np.array(code, dtype=np.int32),
-            ))
-            roots.append(offset)
-            offset += len(feature)
-        self.roots = np.array(roots, dtype=np.intp)
-        (
-            self.child, self.feature, self.threshold, self.size, self.depth, self.code
-        ) = (np.concatenate(column) for column in zip(*parts))
-        self.leaf = self.child[0::2] == np.arange(offset)
+    def __init__(
+        self,
+        feature: Sequence[np.ndarray],
+        split: Sequence[np.ndarray],
+        right: Sequence[np.ndarray],
+        size: Sequence[np.ndarray],
+        leaf_adjustment: bool,
+    ) -> None:
+        lengths = [len(f) for f in feature]
+        self.roots = np.cumsum([0, *lengths[:-1]], dtype=np.intp)
+        node = np.arange(sum(lengths))
+        feat = np.concatenate(feature)
+        self.leaf = feat < 0
+        # Routing indexes with `child`, so it is intp; the rest fit int32.
+        child = np.empty((len(node), 2), dtype=np.intp)
+        child[:, 0] = np.where(self.leaf, node, node + 1)
+        child[:, 1] = np.where(
+            self.leaf, node, np.concatenate(right) + np.repeat(self.roots, lengths)
+        )
+        self.child = child.ravel()
+        self.feature = np.where(self.leaf, 0, feat).astype(np.int32)
+        self.threshold = np.where(self.leaf, np.inf, np.concatenate(split))
+        self.size = np.concatenate(size).astype(np.int32)
+        inner = np.flatnonzero(~self.leaf)
+        self.code = np.full(len(node), -1, dtype=np.int32)
+        self.code[child[inner]] = 2 * self.feature[inner, None] + np.array([0, 1])
+        # Depth one level at a time, from the roots down.
+        self.depth = np.zeros(len(node), dtype=np.int32)
+        level, depth = self.roots, 0
+        while level.size:
+            self.depth[level] = depth
+            level = child[level[~self.leaf[level]]].ravel()
+            depth += 1
         self.h = self.depth.astype(np.float64)
         if leaf_adjustment:
             self.h += _leaf_adjustment_table(int(self.size.max(initial=0)))[self.size]
@@ -246,14 +226,21 @@ class FlatForest:
 
 @dataclass
 class ForestModel:
-    """Fitted ensemble plus training-time scores and labels. Immutable by convention."""
+    """Fitted forest plus training-time scores, labels and score cutoff.
 
-    trees: list[TreeNode]
+    Immutable by convention. `cutoff` labels the scores of new rows, Outlier
+    iff score >= cutoff, so a saved model labels a row the same in any batch:
+    it is the rule's threshold for ScoreThreshold and the lowest score of a
+    training outlier for Contamination. A new row that ties the cutoff is an
+    Outlier, even where a training row with that score lost the tie.
+    """
+
+    forest: FlatForest
     params: ForestParams
     n_train: int
     scores: np.ndarray
     labels: np.ndarray
-    _flat: FlatForest | None = field(default=None, repr=False, compare=False)
+    cutoff: float
     # (key of the training matrix, its all-row transition counts) from fit.
     _train_counts: tuple[tuple, np.ndarray] | None = field(
         default=None, repr=False, compare=False
@@ -267,12 +254,6 @@ class ForestModel:
     def max_depth(self) -> int:
         return max_tree_depth(self.subsample_size)
 
-    def flat_trees(self) -> FlatForest:
-        """The forest as one node table, built on first use."""
-        if self._flat is None:
-            self._flat = FlatForest(self.trees, self.params.leaf_adjustment)
-        return self._flat
-
     def outlier_count(self) -> int:
         return int(np.count_nonzero(self.labels == OUTLIER))
 
@@ -280,37 +261,64 @@ class ForestModel:
         return int(np.count_nonzero(self.labels == INLIER))
 
 
-def _grow(subset: np.ndarray, depth: int, depth_cap: int, rng: np.random.Generator) -> TreeNode:
-    """Recursively grow one tree on `subset` (rows of the tree's subsample)."""
-    k = len(subset)
-    if k == 1 or depth == depth_cap:
-        return Leaf(size=k, depth=depth)
+def _draw_split(rows: np.ndarray, rng: np.random.Generator) -> tuple[int, float] | None:
+    """A random (feature, value) split of `rows`; None if all rows are identical.
 
-    d = subset.shape[1]
-    f = int(rng.integers(d))
-    col = subset[:, f]
-    lo = col.min()
-    hi = col.max()
+    A constant drawn feature is redrawn among the features that can still be
+    split.
+    """
+    f = int(rng.integers(rows.shape[1]))
+    lo, hi = rows[:, f].min(), rows[:, f].max()
     if lo == hi:
-        # Redraw among features that can still be split; none left means the
-        # remaining rows are identical on every feature.
-        mins = subset.min(axis=0)
-        maxs = subset.max(axis=0)
+        mins = rows.min(axis=0)
+        maxs = rows.max(axis=0)
         valid = np.flatnonzero(mins < maxs)
         if len(valid) == 0:
-            return Leaf(size=k, depth=depth)
+            return None
         f = int(valid[rng.integers(len(valid))])
-        col = subset[:, f]
-        lo = mins[f]
-        hi = maxs[f]
+        lo, hi = mins[f], maxs[f]
+    return f, float(rng.uniform(lo, hi))
 
-    v = float(rng.uniform(lo, hi))
-    mask = col <= v
-    return Internal(
-        feature_index=f,
-        split_value=v,
-        left=_grow(subset[mask], depth + 1, depth_cap, rng),
-        right=_grow(subset[~mask], depth + 1, depth_cap, rng),
+
+def _grow_tree(
+    sub: np.ndarray, depth_cap: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grow one tree on its subsample `sub` into (feature, split, right, size).
+
+    The arrays are `FlatForest`'s per-tree preorder form. Nodes are made in
+    preorder from an explicit stack, left subtree first, so each internal
+    node draws its split from `rng` in the order a recursive grower would.
+    """
+    feature: list[int] = []
+    split: list[float] = []
+    right: list[int] = []
+    size: list[int] = []
+    # (the node's rows, its depth, index of the node it is the right child of)
+    stack = [(sub, 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            right[parent] = i
+        drawn = _draw_split(rows, rng) if len(rows) > 1 and depth < depth_cap else None
+        right.append(-1)
+        if drawn is None:
+            feature.append(-1)
+            split.append(0.0)
+            size.append(len(rows))
+            continue
+        f, v = drawn
+        feature.append(f)
+        split.append(v)
+        size.append(0)
+        mask = rows[:, f] <= v
+        stack.append((rows[~mask], depth + 1, i))
+        stack.append((rows[mask], depth + 1, -1))
+    return (
+        np.array(feature, dtype=np.int32),
+        np.array(split, dtype=np.float64),
+        np.array(right, dtype=np.intp),
+        np.array(size, dtype=np.int32),
     )
 
 
@@ -332,31 +340,33 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     sub_n = min(params.max_subsample, n)
     depth_cap = max_tree_depth(sub_n)
 
-    trees: list[TreeNode] = []
+    trees = []
     for i in range(params.n_trees):
         rng = np.random.default_rng(params.seed + i)
         idx = rng.choice(n, size=sub_n, replace=False)
-        trees.append(_grow(X[idx], 0, depth_cap, rng))
+        trees.append(_grow_tree(X[idx], depth_cap, rng))
+    forest = FlatForest(*zip(*trees), leaf_adjustment=params.leaf_adjustment)
 
-    model = ForestModel(
-        trees=trees,
-        params=params,
-        n_train=n,
-        scores=np.empty(0),
-        labels=np.empty(0, dtype="<U7"),
-    )
     # The one routing pass over the training set: it yields the scores and the
     # leaf occupancy the graph builder's transition counts are read from.
-    forest = model.flat_trees()
     visits = np.zeros(forest.n_nodes, dtype=np.int64)
-    mean_paths = _mean_path_lengths(forest, X, visits)
-    model._train_counts = (
-        _matrix_key(X),
-        _transition_counts(forest, visits, data.n_features),
+    scores = anomaly_score(_mean_paths(forest, X, visits), sub_n)
+    labels = label_scores(scores, params.label_rule)
+    rule = params.label_rule
+    cutoff = (
+        rule.threshold
+        if isinstance(rule, ScoreThreshold)
+        else float(scores[labels == OUTLIER].min())
     )
-    model.scores = anomaly_score(mean_paths, sub_n)
-    model.labels = label_scores(model.scores, params.label_rule)
-    return model
+    return ForestModel(
+        forest=forest,
+        params=params,
+        n_train=n,
+        scores=scores,
+        labels=labels,
+        cutoff=cutoff,
+        _train_counts=(_matrix_key(X), _transition_counts(forest, visits, data.n_features)),
+    )
 
 
 # Transition-count layout. With d features a route steps through M = 2d + 2
@@ -388,7 +398,7 @@ def _check_width(forest: FlatForest, n_features: int) -> None:
 
 
 def _route(forest: FlatForest, X: np.ndarray) -> np.ndarray:
-    """Leaf reached by every row of X in every tree: (n_trees, n_rows) node indices.
+    """The leaf each row of X reaches in every tree: (n_trees, n_rows) node indices.
 
     All (tree, row) pairs step together for exactly `forest.max_depth` steps;
     a pair at a leaf stays there. X is read row-major, so it must be at least
@@ -466,11 +476,11 @@ def _training_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """
     if model._train_counts is not None and model._train_counts[0] == _matrix_key(X):
         return model._train_counts[1]
-    forest = model.flat_trees()
+    forest = model.forest
     return _transition_counts(forest, _leaf_visits(forest, X), X.shape[1])
 
 
-def _mean_path_lengths(
+def _mean_paths(
     forest: FlatForest, X: np.ndarray, visits: np.ndarray | None = None
 ) -> np.ndarray:
     """Mean path length of every row of X; adds each row's leaves into `visits`.
@@ -487,22 +497,6 @@ def _mean_path_lengths(
         if visits is not None:
             visits += np.bincount(leaves.ravel(), minlength=forest.n_nodes)
     return total / forest.n_trees
-
-
-def path_length(tree: TreeNode, sample: np.ndarray, leaf_adjustment: bool) -> float:
-    """Edges from root to the leaf reached by `sample`, optionally adding c(leaf size)."""
-    sample = np.asarray(sample, dtype=np.float64)
-    node = tree
-    edges = 0
-    while isinstance(node, Internal):
-        if sample[node.feature_index] <= node.split_value:
-            node = node.left
-        else:
-            node = node.right
-        edges += 1
-    if leaf_adjustment and node.size > 1:
-        return edges + average_path_normalizer(node.size)
-    return float(edges)
 
 
 def anomaly_score(
@@ -525,7 +519,7 @@ def score_samples(model: ForestModel, data: Dataset | np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("expected a 2-dimensional sample matrix")
     return anomaly_score(
-        _mean_path_lengths(model.flat_trees(), X), model.subsample_size
+        _mean_paths(model.forest, X), model.subsample_size
     )
 
 
@@ -544,8 +538,3 @@ def label_scores(
     order = np.argsort(-scores, kind="stable")
     labels[order[:k]] = OUTLIER
     return labels
-
-
-def label_samples(model: ForestModel) -> np.ndarray:
-    """Re-derive per-sample labels from the model's scores and label rule."""
-    return label_scores(model.scores, model.params.label_rule)

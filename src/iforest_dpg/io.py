@@ -1,9 +1,10 @@
 """File formats: CSV ingestion/emission, JSON persistence, DOT export, bundles.
 
-All JSON documents carry a top-level schema_version. Floats are written with
-Python's shortest round-trip repr, so every persisted real value reloads
-bit-exactly. DOT output is one statement per line with LF endings and is a
-pure function of its inputs.
+All JSON documents carry a top-level schema_version: 2 for model.json, which
+stores each tree as preorder arrays and is checked for structure on load, and
+1 for the rest. Floats are written with Python's shortest round-trip repr, so
+every persisted real value reloads bit-exactly. DOT output is one statement
+per line with LF endings and is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -31,19 +32,22 @@ from .dpg import (
     predicate_label,
 )
 from .forest import (
+    INLIER,
+    OUTLIER,
     Contamination,
     Dataset,
+    FlatForest,
     ForestModel,
     ForestParams,
-    Internal,
-    Leaf,
     ScoreThreshold,
-    TreeNode,
     _rule_to_dict,
+    max_tree_depth,
 )
 from .metrics import IopReport, rank_report
 
 SCHEMA_VERSION = 1
+# model.json alone is at version 2: per-tree preorder arrays and a cutoff.
+MODEL_SCHEMA_VERSION = 2
 
 _OUTLIER_TOKENS = {"o", "outlier", "1"}
 _INLIER_TOKENS = {"n", "inlier", "0"}
@@ -185,40 +189,92 @@ def write_injection_log(path: str | Path, log) -> None:
 # Model JSON
 
 
-def _node_to_dict(node: TreeNode) -> dict[str, Any]:
-    if isinstance(node, Leaf):
-        return {"size": node.size}
-    return {
-        "feature": node.feature_index,
-        "split": node.split_value,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _malformed(message: str) -> ValueError:
+    return ValueError(f"malformed model file: {message}")
 
 
-def _node_from_dict(obj: dict[str, Any], depth: int) -> TreeNode:
-    if "size" in obj:
-        return Leaf(size=int(obj["size"]), depth=depth)
-    return Internal(
-        feature_index=int(obj["feature"]),
-        split_value=float(obj["split"]),
-        left=_node_from_dict(obj["left"], depth + 1),
-        right=_node_from_dict(obj["right"], depth + 1),
-    )
+def _value(obj: dict[str, Any], key: str, types: tuple[type, ...]) -> Any:
+    """obj[key], which must be exactly one of `types` (so a bool is not an int)."""
+    value = obj[key]
+    if type(value) not in types:
+        raise _malformed(f"{key!r} is a {type(value).__name__}")
+    return value
+
+
+def _number(obj: dict[str, Any], key: str) -> float:
+    value = float(_value(obj, key, (int, float)))
+    if not math.isfinite(value):
+        raise _malformed(f"{key!r} is not finite")
+    return value
+
+
+def _array(obj: dict[str, Any], key: str, types: tuple[type, ...], dtype) -> np.ndarray:
+    values = _value(obj, key, (list,))
+    if not {type(v) for v in values} <= set(types):
+        raise _malformed(f"{key!r} holds a value that is not a {types[-1].__name__}")
+    return np.array(values, dtype=dtype)
 
 
 def _rule_from_dict(obj: dict[str, Any]) -> ScoreThreshold | Contamination:
-    if obj["kind"] == "contamination":
-        return Contamination(fraction=float(obj["fraction"]))
-    if obj["kind"] == "score_threshold":
-        return ScoreThreshold(threshold=float(obj["threshold"]))
-    raise ValueError(f"unknown label rule kind: {obj['kind']!r}")
+    kind = _value(obj, "kind", (str,))
+    if kind == "contamination":
+        return Contamination(fraction=_number(obj, "fraction"))
+    if kind == "score_threshold":
+        return ScoreThreshold(threshold=_number(obj, "threshold"))
+    raise ValueError(f"unknown label rule kind: {kind!r}")
+
+
+def _tree_from_dict(
+    obj: dict[str, Any], subsample_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One tree's (feature, split, right, size), checked to form a tree.
+
+    Leaves have feature -1, right -1 and size >= 1, the sizes summing to the
+    subsample size; internal nodes have a feature >= 0, a finite split, size
+    0, and a right child after their left child i + 1 and inside the tree.
+    Every node but the root is the child of exactly one node.
+    """
+    feature = _array(obj, "feature", (int,), np.int64)
+    split = _array(obj, "split", (int, float), np.float64)
+    right = _array(obj, "right", (int,), np.int64)
+    size = _array(obj, "size", (int,), np.int64)
+    n = len(feature)
+    if n == 0 or not len(split) == len(right) == len(size) == n:
+        raise _malformed("a tree's arrays are empty or differ in length")
+    node = np.arange(n)
+    leaf = feature == -1
+    inner = ~leaf
+    if np.any(feature < -1) or np.any(feature >= np.iinfo(np.int32).max):
+        raise _malformed("a split feature is out of range")
+    if np.any(right[leaf] != -1) or np.any(
+        (right[inner] <= node[inner] + 1) | (right[inner] >= n)
+    ):
+        raise _malformed("a right child index points backward or out of its tree")
+    parents = np.bincount(np.concatenate([node[inner] + 1, right[inner]]), minlength=n)
+    if not np.array_equal(parents, node > 0):
+        raise _malformed("a node is not the child of exactly one node")
+    if not np.all(np.isfinite(split[inner])):
+        raise _malformed("a split value is not finite")
+    if np.any(size[inner] != 0) or np.any((size[leaf] < 1) | (size[leaf] > subsample_size)):
+        raise _malformed("a leaf size is out of range or an internal node has a size")
+    if size.sum() != subsample_size:
+        raise _malformed(
+            f"a tree's leaf sizes sum to {size.sum()}, not the subsample size {subsample_size}"
+        )
+    return feature, split, right, size
 
 
 def model_to_dict(model: ForestModel) -> dict[str, Any]:
     p = model.params
+    forest = model.forest
+    feature = np.where(forest.leaf, -1, forest.feature)
+    split = np.where(forest.leaf, 0.0, forest.threshold)
+    bounds = [*forest.roots.tolist(), forest.n_nodes]
+    # Child indices back to tree-local ones.
+    tree_start = np.repeat(forest.roots, np.diff(bounds))
+    right = np.where(forest.leaf, -1, forest.child[1::2] - tree_start)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": MODEL_SCHEMA_VERSION,
         "params": {
             "n_trees": p.n_trees,
             "max_subsample": p.max_subsample,
@@ -227,40 +283,75 @@ def model_to_dict(model: ForestModel) -> dict[str, Any]:
             "label_rule": _rule_to_dict(p.label_rule),
         },
         "n_train": model.n_train,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "cutoff": model.cutoff,
+        "trees": [
+            {
+                "feature": feature[a:b].tolist(),
+                "split": split[a:b].tolist(),
+                "right": right[a:b].tolist(),
+                "size": forest.size[a:b].tolist(),
+            }
+            for a, b in zip(bounds, bounds[1:])
+        ],
         "scores": [float(s) for s in model.scores],
         "labels": [str(l) for l in model.labels],
     }
 
 
 def model_from_dict(obj: dict[str, Any]) -> ForestModel:
-    """Rebuild a model; a missing or mistyped field is a ValueError."""
+    """Rebuild a model; a missing, mistyped or inconsistent field is a ValueError.
+
+    Files of another schema_version, model.json version 1 included, are
+    rejected rather than converted.
+    """
     if not isinstance(obj, dict):
+        raise _malformed(f"expected an object, got {type(obj).__name__}")
+    if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(
-            f"malformed model file: expected an object, got {type(obj).__name__}"
-        )
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported model schema_version: {obj.get('schema_version')!r}"
+            f"unsupported model schema_version: {obj.get('schema_version')!r} "
+            f"(this version reads {MODEL_SCHEMA_VERSION}; train the model again)"
         )
     try:
-        p = obj["params"]
+        p = _value(obj, "params", (dict,))
         params = ForestParams(
-            n_trees=int(p["n_trees"]),
-            max_subsample=int(p["max_subsample"]),
-            seed=int(p["seed"]),
-            leaf_adjustment=bool(p["leaf_adjustment"]),
-            label_rule=_rule_from_dict(p["label_rule"]),
+            n_trees=_value(p, "n_trees", (int,)),
+            max_subsample=_value(p, "max_subsample", (int,)),
+            seed=_value(p, "seed", (int,)),
+            leaf_adjustment=_value(p, "leaf_adjustment", (bool,)),
+            label_rule=_rule_from_dict(_value(p, "label_rule", (dict,))),
         )
+        n_train = _value(obj, "n_train", (int,))
+        scores = _array(obj, "scores", (int, float), np.float64)
+        labels = _value(obj, "labels", (list,))
+        if not len(scores) == len(labels) == n_train:
+            raise _malformed(
+                f"{len(scores)} scores and {len(labels)} labels for n_train {n_train}"
+            )
+        if not np.all(np.isfinite(scores)) or not set(labels) <= {INLIER, OUTLIER}:
+            raise _malformed("a score is not finite or a label is not Inlier or Outlier")
+        trees = _value(obj, "trees", (list,))
+        if len(trees) != params.n_trees:
+            raise _malformed(f"{len(trees)} trees for n_trees {params.n_trees}")
+        subsample_size = min(params.max_subsample, n_train)
+        forest = FlatForest(
+            *zip(*(_tree_from_dict(t, subsample_size) for t in trees)),
+            leaf_adjustment=params.leaf_adjustment,
+        )
+        if forest.max_depth > max_tree_depth(subsample_size):
+            raise _malformed(
+                f"a tree is {forest.max_depth} deep, beyond the depth cap "
+                f"{max_tree_depth(subsample_size)}"
+            )
         return ForestModel(
-            trees=[_node_from_dict(t, 0) for t in obj["trees"]],
+            forest=forest,
             params=params,
-            n_train=int(obj["n_train"]),
-            scores=np.asarray(obj["scores"], dtype=np.float64),
-            labels=np.asarray(obj["labels"], dtype="<U7"),
+            n_train=n_train,
+            scores=scores,
+            labels=np.asarray(labels, dtype="<U7"),
+            cutoff=_number(obj, "cutoff"),
         )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise _malformed(f"{type(exc).__name__}: {exc}") from exc
 
 
 def save_model(path: str | Path, model: ForestModel) -> None:

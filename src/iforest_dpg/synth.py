@@ -232,11 +232,3 @@ def fixture_one(seed: int = DEFAULT_FIXTURE_SEED) -> tuple[Dataset, list[Injecti
 def fixture_two(seed: int = DEFAULT_FIXTURE_SEED) -> tuple[Dataset, list[InjectionRecord]]:
     """200 x 6 cluster with four injected outliers altering 2-4 features each."""
     return _profile_matched_fixture(seed, _FIXTURE_TWO_INJECTIONS)
-
-
-def fixture_dataset_one(seed: int = DEFAULT_FIXTURE_SEED) -> Dataset:
-    return fixture_one(seed)[0]
-
-
-def fixture_dataset_two(seed: int = DEFAULT_FIXTURE_SEED) -> Dataset:
-    return fixture_two(seed)[0]

@@ -32,7 +32,6 @@ from iforest_dpg.forest import (
     Contamination,
     Dataset,
     ForestParams,
-    Internal,
     anomaly_score,
     average_path_normalizer,
     fit,
@@ -42,6 +41,7 @@ from iforest_dpg.metrics import score_graph
 from iforest_dpg.synth import fixture_one, fixture_two
 
 from test_dpg import _oracle_edges
+from tree_reference import trees_of, walk
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -50,14 +50,6 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
         line += f" :: {detail}"
     print(line)
     assert ok, line
-
-
-def _leaf_depths(node, depth=0):
-    if isinstance(node, Internal):
-        yield from _leaf_depths(node.left, depth + 1)
-        yield from _leaf_depths(node.right, depth + 1)
-    else:
-        yield depth
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +176,8 @@ def test_randomized_property_suite():
         )
         assert np.all(model.scores > 0.0) and np.all(model.scores <= 1.0)
         cap = model.max_depth
-        for tree in model.trees:
-            assert max(_leaf_depths(tree)) <= cap
+        for tree in trees_of(model):
+            assert max(depth for _, depth in walk(tree)) <= cap
 
         try:
             g = build_model_graph(model, data)

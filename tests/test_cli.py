@@ -2,8 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iforest_dpg.cli import main
 
@@ -209,6 +214,35 @@ def test_train_rejects_single_row(tmp_path, capsys, fixture_csv):
     assert "need at least 2 samples" in err
 
 
+def test_score_labels_a_lone_row_with_the_training_cutoff(tmp_path, capsys, fixture_csv):
+    # Contamination picks the outliers among the training rows; a row scored
+    # on its own keeps the label the training-score cutoff gives it.
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(
+        capsys,
+        "train", str(fixture_csv),
+        "--trees", "20", "--seed", "7", "--contamination", "0.01",
+        "--out", str(model_path),
+    )
+    assert code == 0
+    saved = json.loads(model_path.read_text())
+    assert saved["labels"][5] == "Inlier"
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    one = tmp_path / "one.csv"
+    _write_rows(one, [rows[0], rows[6]])
+    code, stdout, err = run(capsys, "score", str(one), "--model", str(model_path), "--json")
+    assert code == 0, err
+    assert json.loads(stdout) == [
+        {"sample": 0, "score": saved["scores"][5], "label": "Inlier"}
+    ]
+    # Scored as one batch, the training rows keep fit's labels.
+    code, stdout, _ = run(
+        capsys, "score", str(fixture_csv), "--model", str(model_path), "--json"
+    )
+    assert [r["label"] for r in json.loads(stdout)] == saved["labels"]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -239,6 +273,79 @@ def test_score_rejects_deeply_nested_model(tmp_path, capsys, fixture_csv):
     code, _, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
     assert code == 1
     assert "malformed model file" in err
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """(data CSV, model.json document) of a small contamination model."""
+    work = tmp_path_factory.mktemp("saved")
+    with redirect_stdout(StringIO()):
+        assert main(["gen", "--samples", "40", "--features", "3", "--out", str(work)]) == 0
+        assert main([
+            "train", str(work / "data.csv"), "--trees", "4", "--seed", "3",
+            "--contamination", "0.05", "--out", str(work / "model.json"),
+        ]) == 0
+    return work / "data.csv", json.loads((work / "model.json").read_text())
+
+
+def _paths(doc, prefix=()):
+    """(path, value) of every value nested in a JSON document."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*prefix, key), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*prefix, key))
+
+
+def _parent(doc, path):
+    return reduce(lambda node, key: node[key], path[:-1], doc)
+
+
+# A value of each JSON type; a float is never replaced by an int, a valid float.
+_OTHER_TYPES = (7, 1.5, "x", True, None, [], {})
+
+
+def _mutate(doc, data):
+    paths = list(_paths(doc))
+    action = data.draw(st.sampled_from(["drop", "truncate", "index", "type"]))
+    if action == "drop":
+        path = data.draw(st.sampled_from([p for p, _ in paths if isinstance(p[-1], str)]))
+        del _parent(doc, path)[path[-1]]
+    elif action == "truncate":
+        path, value = data.draw(
+            st.sampled_from([(p, v) for p, v in paths if isinstance(v, list) and v])
+        )
+        _parent(doc, path)[path[-1]] = value[: data.draw(st.integers(0, len(value) - 1))]
+    elif action == "index":
+        tree = data.draw(st.sampled_from(doc["trees"]))
+        inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+        i = data.draw(st.sampled_from(inner))
+        n = len(tree["feature"])
+        tree["right"][i] = data.draw(st.integers(max_value=i + 1) | st.integers(min_value=n))
+    else:
+        path, value = data.draw(st.sampled_from(paths))
+        other = [
+            v for v in _OTHER_TYPES
+            if type(v) is not type(value) and not (type(value) is float and type(v) is int)
+        ]
+        _parent(doc, path)[path[-1]] = data.draw(st.sampled_from(other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_score_rejects_every_mutated_model(saved_model, data):
+    # Drop a key, truncate an array, point a child index backward or out of
+    # its tree, or change a type: loading must fail with exit 1, no traceback.
+    csv_path, doc = saved_model
+    doc = json.loads(json.dumps(doc))
+    _mutate(doc, data)
+    model_path = csv_path.parent / "mutated.json"
+    model_path.write_text(json.dumps(doc))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["score", str(csv_path), "--model", str(model_path)])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

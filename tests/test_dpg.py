@@ -30,24 +30,24 @@ from iforest_dpg.forest import (
     Dataset,
     ForestModel,
     ForestParams,
-    Internal,
-    Leaf,
     SingleClassError,
     fit,
     max_tree_depth,
 )
 from iforest_dpg.io import model_from_dict, model_to_dict
+from tree_reference import Tree, flat, route, trees_of
 
 
 def _manual_model(trees, labels):
     labels = np.asarray(labels, dtype="<U7")
     n = len(labels)
     return ForestModel(
-        trees=list(trees),
+        forest=flat(trees),
         params=ForestParams(n_trees=len(trees), seed=0),
         n_train=n,
         scores=np.full(n, 0.5),
         labels=labels,
+        cutoff=0.5,
     )
 
 
@@ -82,12 +82,7 @@ def test_node_sort_key_order():
 
 
 def test_traverse_single_split():
-    tree = Internal(
-        feature_index=2,
-        split_value=0.5,
-        left=Leaf(size=1, depth=1),
-        right=Leaf(size=1, depth=1),
-    )
+    tree = Tree(feature=[2, -1, -1], split=[0.5, 0.0, 0.0], right=[2, -1, -1], size=[0, 1, 1])
     model = _manual_model([tree], ["Inlier", "Outlier"])
     data = Dataset(
         features=np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.9]]),
@@ -102,7 +97,7 @@ def test_traverse_single_split():
 
 
 def test_traverse_single_leaf_tree():
-    model = _manual_model([Leaf(size=2, depth=0)], ["Outlier", "Inlier"])
+    model = _manual_model([Tree([-1], [0.0], [-1], [2])], ["Outlier", "Inlier"])
     data = Dataset(features=np.zeros((2, 1)), feature_names=["a"])
     traces = traverse(model, data)
     assert [t.predicates for t in traces] == [[], []]
@@ -282,15 +277,6 @@ def test_build_graph_errors():
 # brute-force oracle: rational-arithmetic transition counting
 
 
-def _oracle_paths(node, x, path):
-    """Recursive root-to-leaf predicate collection, independent of FlatForest."""
-    if isinstance(node, Leaf):
-        return path
-    if x[node.feature_index] <= node.split_value:
-        return _oracle_paths(node.left, x, path + [(node.feature_index, LE)])
-    return _oracle_paths(node.right, x, path + [(node.feature_index, GT)])
-
-
 def _oracle_edges(model, data):
     """Fraction-exact expected edge map, or None when pruning empties a class."""
     n_o = int((model.labels == "Outlier").sum())
@@ -303,10 +289,10 @@ def _oracle_edges(model, data):
 
     kept = {"Outlier": 0, "Inlier": 0}
     edges: dict[tuple[str, str], Fraction] = {}
-    for tree in model.trees:
+    for tree in trees_of(model):
         for s in range(data.n_samples):
             label = str(model.labels[s])
-            pairs = _oracle_paths(tree, data.features[s], [])
+            pairs, _ = route(tree, data.features[s])
             if label == "Outlier" and len(pairs) >= dmax:
                 continue
             kept[label] += 1

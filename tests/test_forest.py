@@ -9,12 +9,10 @@ from iforest_dpg import forest as forest_module
 from iforest_dpg.dpg import GT, _tree_paths
 from iforest_dpg.forest import (
     C1,
+    OUTLIER,
     Contamination,
     Dataset,
-    FlatForest,
     ForestParams,
-    Internal,
-    Leaf,
     ScoreThreshold,
     SingleClassError,
     _route,
@@ -24,11 +22,10 @@ from iforest_dpg.forest import (
     fit,
     label_scores,
     max_tree_depth,
-    path_length,
     score_samples,
 )
-from iforest_dpg.synth import InjectionSpec, SynthConfig, generate
-from test_dpg import _oracle_paths
+from iforest_dpg.synth import InjectionSpec, SynthConfig, fixture_one, generate
+from tree_reference import Tree, flat, grow_forest, path_length, route, trees_of, walk
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +107,29 @@ def test_anomaly_score_strictly_decreasing(lo, gap, n):
 
 
 # ---------------------------------------------------------------------------
-# path_length
+# path lengths: h at the leaf a row is routed to
 
 
-def _toy_tree():
-    return Internal(
-        feature_index=0,
-        split_value=0.5,
-        left=Leaf(size=3, depth=1),
-        right=Leaf(size=1, depth=1),
-    )
+# One split on feature 0 at 0.5: a left leaf of 3 rows, a right leaf of 1.
+_TOY_TREE = Tree(feature=[0, -1, -1], split=[0.5, 0.0, 0.0], right=[2, -1, -1], size=[0, 3, 1])
+
+
+def _path_length(x, leaf_adjustment):
+    forest = flat([_TOY_TREE], leaf_adjustment)
+    return forest.h[_route(forest, np.array([x]))[0, 0]]
 
 
 def test_path_length_with_and_without_adjustment():
-    tree = _toy_tree()
-    left_sample = np.array([0.2])
-    right_sample = np.array([0.9])
-    assert path_length(tree, left_sample, leaf_adjustment=False) == 1.0
-    assert path_length(tree, left_sample, leaf_adjustment=True) == pytest.approx(
+    assert _path_length([0.2], leaf_adjustment=False) == 1.0
+    assert _path_length([0.2], leaf_adjustment=True) == pytest.approx(
         1.0 + average_path_normalizer(3)
     )
     # Single-sample leaves never get an adjustment.
-    assert path_length(tree, right_sample, leaf_adjustment=True) == 1.0
+    assert _path_length([0.9], leaf_adjustment=True) == 1.0
 
 
 def test_boundary_value_routes_left():
-    tree = _toy_tree()
-    assert path_length(tree, np.array([0.5]), leaf_adjustment=True) == pytest.approx(
+    assert _path_length([0.5], leaf_adjustment=True) == pytest.approx(
         1.0 + average_path_normalizer(3)
     )
 
@@ -150,28 +143,18 @@ def test_route_matches_object_walk_on_edge_cases():
     # the second tree is a single leaf, so its routes are SOURCE -> END; the
     # third splits twice on one feature, a self-loop transition.
     trees = [
-        Internal(
-            feature_index=0,
-            split_value=0.5,
-            left=Internal(
-                feature_index=1,
-                split_value=-1.0,
-                left=Leaf(size=1, depth=2),
-                right=Leaf(size=2, depth=2),
-            ),
-            right=Leaf(size=3, depth=1),
+        Tree(
+            feature=[0, 1, -1, -1, -1],
+            split=[0.5, -1.0, 0.0, 0.0, 0.0],
+            right=[4, 3, -1, -1, -1],
+            size=[0, 0, 1, 2, 3],
         ),
-        Leaf(size=4, depth=0),
-        Internal(
-            feature_index=1,
-            split_value=2.0,
-            left=Leaf(size=1, depth=1),
-            right=Internal(
-                feature_index=1,
-                split_value=3.0,
-                left=Leaf(size=2, depth=2),
-                right=Leaf(size=1, depth=2),
-            ),
+        Tree(feature=[-1], split=[0.0], right=[-1], size=[4]),
+        Tree(
+            feature=[1, -1, 1, -1, -1],
+            split=[2.0, 0.0, 3.0, 0.0, 0.0],
+            right=[2, -1, 4, -1, -1],
+            size=[0, 1, 0, 2, 1],
         ),
     ]
     X = np.array(
@@ -180,7 +163,7 @@ def test_route_matches_object_walk_on_edge_cases():
     m = 2 * X.shape[1] + 2
     source, end = m - 2, m - 1
     for adjust in (False, True):
-        forest = FlatForest(trees, adjust)
+        forest = flat(trees, adjust)
         leaves = _route(forest, X)
         assert leaves.shape == (len(trees), len(X))
         for t, tree in enumerate(trees):
@@ -192,17 +175,18 @@ def test_route_matches_object_walk_on_edge_cases():
                     h += average_path_normalizer(int(forest.size[leaf]))
                 assert h == path_length(tree, x, adjust)
                 assert forest.h[leaf] == h
+                assert leaf == forest.roots[t] + route(tree, x)[1]
     for tree in trees:
-        single = FlatForest([tree], True)
+        single = flat([tree])
         visits = np.bincount(_route(single, X)[0], minlength=single.n_nodes)
         expected = np.zeros(m * m, dtype=np.int64)
         for x in X:
-            codes = [2 * f + (sign == GT) for f, sign in _oracle_paths(tree, x, [])]
+            codes = [2 * f + (sign == GT) for f, sign in route(tree, x)[0]]
             chain = [source, *codes, end]
             for a, b in zip(chain, chain[1:]):
                 expected[a * m + b] += 1
         assert np.array_equal(_transition_counts(single, visits, X.shape[1]), expected)
-    first = FlatForest(trees[:1], True)
+    first = flat(trees[:1])
     assert first.depth[_route(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
     assert _route(first, np.empty((0, 2))).shape == (1, 0)
 
@@ -232,7 +216,7 @@ def test_transition_counts_match_stepwise_routes(seed):
     X[n // 2 :] = X[: n - n // 2]  # every row appears twice
     data = Dataset(features=X, feature_names=[f"F{i}" for i in range(d)])
     model = fit(data, ForestParams(n_trees=12, max_subsample=32, seed=seed))
-    forest = model.flat_trees()
+    forest = model.forest
     cap = model.max_depth
     visits = np.bincount(_route(forest, X).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
@@ -259,7 +243,7 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
     # plain per-tree loop must give the same bits. Blocks of 3 rows leave a
     # last block of 1 of the 40 rows.
     data, model = small_model
-    forest = model.flat_trees()
+    forest = model.forest
     leaves = _route(forest, data.features)
     total = np.zeros(data.n_samples)
     for t in range(forest.n_trees):
@@ -280,7 +264,7 @@ def test_fit_deterministic(small_data):
     params = ForestParams(n_trees=20, seed=5)
     a = fit(small_data, params)
     b = fit(small_data, params)
-    assert a.trees == b.trees
+    assert trees_of(a) == trees_of(b)
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.labels, b.labels)
 
@@ -288,33 +272,40 @@ def test_fit_deterministic(small_data):
 def test_fit_seed_changes_forest(small_data):
     a = fit(small_data, ForestParams(n_trees=20, seed=5))
     b = fit(small_data, ForestParams(n_trees=20, seed=6))
-    assert a.trees != b.trees
+    assert trees_of(a) != trees_of(b)
 
 
-def _walk(node, depth=0):
-    if isinstance(node, Leaf):
-        yield node, depth
-    else:
-        yield node, depth
-        yield from _walk(node.left, depth + 1)
-        yield from _walk(node.right, depth + 1)
+@pytest.mark.parametrize("seed", [0, 3, 8])
+@pytest.mark.parametrize("variant", ["plain", "constant column", "duplicate rows"])
+def test_fitted_table_matches_recursive_grower(seed, variant):
+    # The iterative grower must make the recursive reference's trees, split
+    # for split; a constant column takes the redraw path.
+    data, _ = fixture_one(seed=seed)
+    X = data.features.copy()
+    if variant == "constant column":
+        X[:, 2] = 1.5
+    elif variant == "duplicate rows":
+        X[100:] = X[:100]
+    params = ForestParams(n_trees=40, seed=seed)
+    model = fit(Dataset(features=X, feature_names=data.feature_names), params)
+    reference = grow_forest(X, params)
+    assert trees_of(model) == reference
+    table = flat(reference)
+    for name in ("roots", "feature", "threshold", "child", "leaf", "size", "depth", "h", "code"):
+        assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
 
 
 def test_tree_structure_bounds(small_model):
     data, model = small_model
     cap = max_tree_depth(model.subsample_size)
-    for tree in model.trees:
+    for root, tree in zip(model.forest.roots, trees_of(model)):
         leaf_sizes = 0
-        for node, depth in _walk(tree):
+        for node, depth in walk(tree):
             assert depth <= cap
-            if isinstance(node, Leaf):
-                assert node.depth == depth
-                assert node.size >= 1
-                leaf_sizes += node.size
-                # Depth-capped leaves may hold several samples; interior
-                # stops must be single points or ties.
-                if depth < cap and node.size > 1:
-                    pass
+            assert model.forest.depth[root + node] == depth
+            if tree.feature[node] < 0:
+                assert tree.size[node] >= 1
+                leaf_sizes += tree.size[node]
         assert leaf_sizes == model.subsample_size
 
 
@@ -324,7 +315,7 @@ def test_scores_match_object_route(small_model):
     adjust = model.params.leaf_adjustment
     for i in range(data.n_samples):
         mean = np.mean(
-            [path_length(t, data.features[i], adjust) for t in model.trees]
+            [path_length(t, data.features[i], adjust) for t in trees_of(model)]
         )
         assert model.scores[i] == pytest.approx(
             anomaly_score(mean, model.subsample_size), rel=1e-12
@@ -342,9 +333,9 @@ def test_all_identical_rows_warns_and_degenerates():
     data = Dataset(features=X, feature_names=["a", "b"])
     with pytest.warns(UserWarning):
         model = fit(data, ForestParams(n_trees=5, seed=0))
-    for tree in model.trees:
-        assert isinstance(tree, Leaf)
-        assert tree.depth == 0
+    for tree in trees_of(model):
+        assert tree.feature == [-1]
+    assert model.forest.max_depth == 0
     assert len(set(model.scores.tolist())) == 1
 
 
@@ -353,10 +344,8 @@ def test_constant_feature_is_never_split(small_data):
     X[:, 1] = 7.5
     data = Dataset(features=X, feature_names=small_data.feature_names)
     model = fit(data, ForestParams(n_trees=15, seed=2))
-    for tree in model.trees:
-        for node, _ in _walk(tree):
-            if isinstance(node, Internal):
-                assert node.feature_index != 1
+    for tree in trees_of(model):
+        assert 1 not in tree.feature
 
 
 def test_score_samples_new_data(small_model):
@@ -401,6 +390,17 @@ def test_contamination_zero_outliers_raises():
         label_scores(np.array([0.5, 0.6]), Contamination(0.0))
 
 
+def test_cutoff_follows_label_rule(small_data):
+    # A threshold rule keeps its threshold; contamination keeps the lowest
+    # training-outlier score, which relabels the training set as fit did.
+    rule = ScoreThreshold(0.6)
+    assert fit(small_data, ForestParams(n_trees=10, seed=1, label_rule=rule)).cutoff == 0.6
+    model = fit(small_data, ForestParams(n_trees=10, seed=1, label_rule=Contamination(0.1)))
+    assert model.cutoff == model.scores[model.labels == OUTLIER].min()
+    relabelled = label_scores(model.scores, ScoreThreshold(model.cutoff))
+    assert np.array_equal(relabelled, model.labels)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ForestParams(n_trees=0)
@@ -410,6 +410,8 @@ def test_params_validation():
         ForestParams(label_rule=Contamination(0.0))
     with pytest.raises(ValueError):
         ForestParams(label_rule=Contamination(0.6))
+    with pytest.raises(ValueError, match="finite"):
+        ForestParams(label_rule=ScoreThreshold(math.inf))
 
 
 def test_dataset_validation():
@@ -448,8 +450,8 @@ def test_random_fits_stay_bounded(seed, n, d):
     model = fit(data, ForestParams(n_trees=5, seed=seed))
     assert np.all(model.scores > 0.0) and np.all(model.scores <= 1.0)
     cap = max_tree_depth(model.subsample_size)
-    for tree in model.trees:
-        assert all(depth <= cap for _, depth in _walk(tree))
+    for tree in trees_of(model):
+        assert all(depth <= cap for _, depth in walk(tree))
 
 
 def test_injected_outlier_attains_max_score():

@@ -162,12 +162,30 @@ def test_model_save_load_round_trip(tmp_path, small_model):
     )
 
 
+# A version-1 model.json: one nested object per tree.
+_V1_MODEL = {
+    "schema_version": 1,
+    "params": {
+        "n_trees": 1,
+        "max_subsample": 256,
+        "seed": 0,
+        "leaf_adjustment": True,
+        "label_rule": {"kind": "score_threshold", "threshold": 0.5},
+    },
+    "n_train": 2,
+    "trees": [
+        {"feature": 0, "split": 0.5, "left": {"size": 1}, "right": {"size": 1}}
+    ],
+    "scores": [0.5, 0.5],
+    "labels": ["Outlier", "Outlier"],
+}
+
+
 def test_model_rejects_wrong_schema_version(small_model):
     _, model = small_model
-    doc = model_to_dict(model)
-    doc["schema_version"] = 99
-    with pytest.raises(ValueError, match="schema_version"):
-        model_from_dict(doc)
+    for version, doc in ((99, {**model_to_dict(model), "schema_version": 99}), (1, _V1_MODEL)):
+        with pytest.raises(ValueError, match=f"schema_version: {version}"):
+            model_from_dict(doc)
 
 
 def test_model_rejects_documents_that_are_not_objects():
