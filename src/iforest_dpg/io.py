@@ -1,10 +1,16 @@
 """File formats: CSV ingestion/emission, JSON persistence, DOT export, bundles.
 
+CSV data rows are parsed in one `np.loadtxt` pass; a numeric cell is an
+ASCII decimal or exponent number, inf or nan (the last two rejected as
+non-finite), optionally quoted and padded with whitespace. Only a file that
+fails is scanned again cell by cell, to name the first fault by file row.
+
 All JSON documents carry a top-level schema_version: 2 for model.json, which
-stores each tree as preorder arrays and is checked for structure on load, and
-1 for the rest. Floats are written with Python's shortest round-trip repr, so
-every persisted real value reloads bit-exactly. DOT output is one statement
-per line with LF endings and is a pure function of its inputs.
+stores each tree as preorder arrays, is checked for structure on load and is
+written as one compact line, and 1 for the rest, which are indented. Floats
+are written with Python's shortest round-trip repr, so every persisted real
+value reloads bit-exactly. DOT output is one statement per line with LF
+endings and is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ import hashlib
 import json
 import math
 import platform
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -49,21 +56,35 @@ SCHEMA_VERSION = 1
 # model.json alone is at version 2: per-tree preorder arrays and a cutoff.
 MODEL_SCHEMA_VERSION = 2
 
-_OUTLIER_TOKENS = {"o", "outlier", "1"}
-_INLIER_TOKENS = {"n", "inlier", "0"}
+# Label tokens (lower-cased, stripped) as loadtxt's label converter reads them.
+_LABEL_CODES = {"o": 1.0, "outlier": 1.0, "1": 1.0, "n": 0.0, "inlier": 0.0, "0": 0.0}
 
 
 # ---------------------------------------------------------------------------
 # CSV
 
 
-def _parse_label(token: str, row_number: int) -> str:
-    low = token.strip().lower()
-    if low in _OUTLIER_TOKENS:
-        return "Outlier"
-    if low in _INLIER_TOKENS:
-        return "Inlier"
-    raise ValueError(f"unknown label token {token!r} at row {row_number}")
+def _label_code(token: str) -> float:
+    """1.0 for an Outlier token, 0.0 for an Inlier one; KeyError otherwise."""
+    return _LABEL_CODES[token.strip().lower()]
+
+
+def _cell_value(cell: str) -> float:
+    """A feature cell as np.loadtxt reads it, or ValueError.
+
+    That is Python's float() of the stripped cell, less the forms only float()
+    knows: non-ASCII digits and '_' digit separators.
+    """
+    token = cell.strip()
+    if not token.isascii() or "_" in token:
+        raise ValueError(cell)
+    return float(token)
+
+
+def _feature_names(header: list[str] | None, feature_cols: list[int]) -> list[str]:
+    if header is None:
+        return [f"F{k}" for k in range(len(feature_cols))]
+    return [header[j] for j in feature_cols]
 
 
 def read_csv(
@@ -73,11 +94,89 @@ def read_csv(
 ) -> Dataset:
     """Load a numeric CSV, optionally peeling off one label column.
 
-    Label tokens map case-insensitively: o/outlier/1 to Outlier and
-    n/inlier/0 to Inlier. Row numbers in error messages are 1-based file
-    rows, counting the header.
+    The header is the first non-blank row, read with `csv`; the data rows are
+    parsed by one `np.loadtxt` call (comma-delimited, '"' quoting, no comment
+    character, blank lines skipped). Label tokens map case-insensitively:
+    o/outlier/1 to Outlier and n/inlier/0 to Inlier. A file loadtxt refuses,
+    or one with a non-finite cell, is scanned again cell by cell to name its
+    first fault; row numbers in those messages are 1-based file rows,
+    counting the header and blank lines.
     """
     path = Path(path)
+    data = _load_csv(path, has_header, label_column)
+    if data is None:
+        _raise_csv_fault(path, has_header, label_column)
+    return data
+
+
+def _load_csv(
+    path: Path, has_header: bool, label_column: str | int | None
+) -> Dataset | None:
+    """The parse itself, or None when the file has a fault to report."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header: list[str] | None = None
+        if has_header:
+            header = next((row for row in csv.reader(fh) if row), None)
+            if header is None:
+                return None
+            header = [cell.strip() for cell in header]
+        label_idx: int | None = None
+        if isinstance(label_column, str):
+            if header is None or label_column not in header:
+                return None
+            label_idx = header.index(label_column)
+        elif label_column is not None:
+            label_idx = int(label_column)
+            if label_idx < 0:
+                return None
+        try:
+            with warnings.catch_warnings():
+                # A file without data rows is reported by the scan instead.
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                table = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    dtype=np.float64,
+                    ndmin=2,
+                    converters=None if label_idx is None else {label_idx: _label_code},
+                )
+        except ValueError:
+            return None
+
+    n_rows, width = table.shape
+    feature_cols = [j for j in range(width) if j != label_idx]
+    if (
+        n_rows == 0
+        or not feature_cols
+        or (header is not None and len(header) != width)
+        or (label_idx is not None and label_idx >= width)
+    ):
+        return None
+    features = table if label_idx is None else table[:, feature_cols]
+    if not np.isfinite(features).all():
+        return None
+    labels = None
+    if label_idx is not None:
+        labels = np.where(table[:, label_idx] == 1.0, OUTLIER, INLIER)
+    return Dataset(
+        features=features,
+        feature_names=_feature_names(header, feature_cols),
+        labels=labels,
+    )
+
+
+def _raise_csv_fault(
+    path: Path, has_header: bool, label_column: str | int | None
+) -> NoReturn:
+    """Scan the file cell by cell and raise a ValueError naming its first fault.
+
+    The cold path of read_csv: it runs only when the parse failed, and reads
+    a cell as numeric exactly when loadtxt does (`_cell_value`).
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not rows:
@@ -124,34 +223,27 @@ def read_csv(
         raise ValueError(f"no numeric columns in CSV file: {path}")
 
     feature_cols = [j for j in range(width) if j != label_idx]
-    if header is not None:
-        names = [header[j] for j in feature_cols]
-    else:
-        names = [f"F{k}" for k in range(len(feature_cols))]
-
-    features = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-    labels: list[str] | None = [] if label_idx is not None else None
-    for r, (row_number, row) in enumerate(rows):
-        for k, j in enumerate(feature_cols):
-            token = row[j].strip()
+    names = _feature_names(header, feature_cols)
+    for row_number, row in rows:
+        for j, name in zip(feature_cols, names):
             try:
-                value = float(token)
+                value = _cell_value(row[j])
             except ValueError:
                 raise ValueError(
                     f"non-numeric value {row[j]!r} at row {row_number}, "
-                    f"column {names[k]!r}"
+                    f"column {name!r}"
                 ) from None
             if not math.isfinite(value):
                 raise ValueError(
                     f"non-finite value {row[j]!r} at row {row_number}, "
-                    f"column {names[k]!r}"
+                    f"column {name!r}"
                 )
-            features[r, k] = value
-        if labels is not None:
-            labels.append(_parse_label(row[label_idx], row_number))
-
-    label_array = np.asarray(labels, dtype="<U7") if labels is not None else None
-    return Dataset(features=features, feature_names=names, labels=label_array)
+        if label_idx is not None and row[label_idx].strip().lower() not in _LABEL_CODES:
+            raise ValueError(
+                f"unknown label token {row[label_idx]!r} at row {row_number}"
+            )
+    # Reached only if loadtxt refused a file this scan accepts.
+    raise ValueError(f"cannot parse CSV file: {path}")
 
 
 def write_dataset_csv(path: str | Path, data: Dataset) -> None:
@@ -354,10 +446,13 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         raise _malformed(f"{type(exc).__name__}: {exc}") from exc
 
 
+def _model_json(model_dict: dict[str, Any]) -> str:
+    """model.json's text: one compact line, the only JSON document not indented."""
+    return json.dumps(model_dict, separators=(",", ":")) + "\n"
+
+
 def save_model(path: str | Path, model: ForestModel) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_model_json(model_to_dict(model)), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ForestModel:
@@ -555,7 +650,7 @@ def write_explanation_bundle(
     out_dir = Path(out_dir)
     model_dict = model_to_dict(model)
     contents: dict[str, str] = {
-        "model.json": json.dumps(model_dict, indent=2) + "\n",
+        "model.json": _model_json(model_dict),
         "graph.json": json.dumps(graph_to_dict(graph, report), indent=2) + "\n",
         "iop_report.json": rank_report(report, format="json"),
         "graph.dot": export_dot(graph, report),

@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import json
+import warnings
 
+import csv_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iforest_dpg.dpg import (
     GT,
@@ -112,6 +116,9 @@ def test_csv_error_rows_count_the_header(tmp_path):
         ("x\n1\ninf\n", {}, "non-finite value"),
         ("x\nnan\n", {}, "non-finite value"),
         ("x,lab\n1,maybe\n", {"label_column": "lab"}, "unknown label token"),
+        # A blank line still counts as a file row; '#' starts no comment.
+        ("x,y\n1,2\n\n\n3,oops\n", {}, "^non-numeric value 'oops' at row 5, column 'y'$"),
+        ("x,y\n1,2\n3,# note\n", {}, "^non-numeric value '# note' at row 3, column 'y'$"),
     ],
 )
 def test_csv_errors(tmp_path, content, kwargs, pattern):
@@ -119,6 +126,135 @@ def test_csv_errors(tmp_path, content, kwargs, pattern):
     path.write_text(content)
     with pytest.raises(ValueError, match=pattern):
         read_csv(path, **kwargs)
+
+
+def test_csv_header_only_raises_without_warning(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(path)
+
+
+def test_csv_label_column_in_the_middle(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('a,lab,b\n1.5,o,-2\n"3",Inlier,4e1\n')
+    for label_column in ("lab", 1):
+        data = read_csv(path, label_column=label_column)
+        assert data.feature_names == ["a", "b"]
+        assert data.features.tolist() == [[1.5, -2.0], [3.0, 40.0]]
+        assert list(data.labels) == ["Outlier", "Inlier"]
+
+
+def test_csv_extreme_floats_round_trip_bit_exactly(tmp_path):
+    values = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+    ]
+    data = Dataset(
+        features=np.array(values).reshape(-1, 2), feature_names=["p", "q"]
+    )
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, data)
+    back = read_csv(path)
+    assert back.features.tobytes() == data.features.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11"])
+def test_csv_only_ascii_numbers_without_separators(tmp_path, cell):
+    # Python's float() takes these; np.loadtxt and so read_csv do not.
+    path = tmp_path / "d.csv"
+    path.write_text(f"x\n1\n{cell}\n", encoding="utf-8")
+    assert csv_reference.read_csv(path).n_samples == 2
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == f"non-numeric value {cell!r} at row 3, column 'x'"
+
+
+_LABEL_TOKENS = ["o", "O", " outlier ", "1", "n", "Inlier", "0", '"n"']
+_BAD_LABELS = ["maybe", "", "2"]
+_JUNK = ["", " ", "abc", "#", "# 1", "1e", "--1", "0x10", "1.2.3", '"1,5"', "1 2", '"', "nan(1)"]
+_SPECIAL = ["nan", "NaN", "inf", "-Infinity", "1e999", "-1e400", "+0", "-0.0", ".5", "5."]
+
+
+@st.composite
+def _number_cell(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999))
+    text = draw(
+        st.sampled_from([repr(float(x)), f"{x:e}", f"{x:.3E}", f"{x:.17g}", str(x)])
+    )
+    pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+    text = pad + text + draw(st.sampled_from(["", " ", "\t"]))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def _csv_case(draw):
+    """(file bytes, has_header, label_column) covering valid and faulty files."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.none() | st.integers(0, width - 1))
+    has_header = draw(st.booleans())
+    names = [f"c{j}" for j in range(width)]
+    lines = []
+    if has_header:
+        lines.append(",".join(f" {n}" if draw(st.booleans()) else n for n in names))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 39))
+        if kind <= 1:
+            lines.append(["", " \t"][kind])
+            continue
+        cells = []
+        for j in range(width + (kind == 2) - (kind == 3)):
+            pick = draw(st.integers(0, 19))
+            if j == label_idx:
+                cells.append(draw(st.sampled_from(_BAD_LABELS if pick == 0 else _LABEL_TOKENS)))
+                continue
+            if pick == 0:
+                cells.append(draw(st.sampled_from(_JUNK)))
+            elif pick == 1:
+                cells.append(draw(st.sampled_from(_SPECIAL)))
+            else:
+                cells.append(draw(_number_cell()))
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    label_column = None
+    if label_idx is not None:
+        # Mostly a valid column; else past the end, the label's index counted
+        # from the end (which numpy would take), or no such name.
+        pick = draw(st.integers(0, 9))
+        valid = names[label_idx] if has_header and pick % 2 else label_idx
+        label_column = valid if pick < 7 else [width, label_idx - width, "c9"][pick - 7]
+    return bom + text.encode("utf-8"), has_header, label_column
+
+
+def _csv_outcome(reader, path, has_header, label_column):
+    try:
+        data = reader(path, has_header=has_header, label_column=label_column)
+    except ValueError as exc:
+        return "error", str(exc)
+    labels = None if data.labels is None else data.labels.tolist()
+    return (
+        data.features.shape,
+        data.features.tobytes(),
+        data.feature_names,
+        labels,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_csv_case())
+def test_csv_matches_reference_parser(tmp_path_factory, case):
+    # Same features bit for bit, names and labels, or the same error message.
+    content, has_header, label_column = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(content)
+    expected = _csv_outcome(csv_reference.read_csv, path, has_header, label_column)
+    assert _csv_outcome(read_csv, path, has_header, label_column) == expected
 
 
 def test_injection_log_round_trips_floats(tmp_path):
@@ -157,6 +293,23 @@ def test_model_save_load_round_trip(tmp_path, small_model):
     assert model_to_dict(loaded) == model_to_dict(model)
     assert np.array_equal(loaded.scores, model.scores)
     assert np.array_equal(loaded.labels, model.labels)
+    assert np.array_equal(
+        score_samples(loaded, data.features), score_samples(model, data.features)
+    )
+
+
+def test_model_json_is_one_compact_line(tmp_path, small_model):
+    # save_model and the bundle write the same bytes; other documents stay indented.
+    data, model = small_model
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    text = path.read_text()
+    assert text == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
+    g = build_model_graph(model, data)
+    write_explanation_bundle(tmp_path / "bundle", model, g, score_graph(g))
+    assert (tmp_path / "bundle" / "model.json").read_text() == text
+    assert (tmp_path / "bundle" / "graph.json").read_text().startswith("{\n  ")
+    loaded = load_model(tmp_path / "bundle" / "model.json")
     assert np.array_equal(
         score_samples(loaded, data.features), score_samples(model, data.features)
     )
