@@ -17,16 +17,10 @@ from .dpg import (
     ClassWeights,
     DpGraph,
     Predicate,
-    PredicateTriple,
-    TraceList,
-    build_graph,
     build_model_graph,
     class_weights,
-    collapse,
     predicate_id,
     predicate_label,
-    prune_deep_outlier_traces,
-    traverse,
 )
 from .forest import (
     INLIER,
@@ -89,17 +83,13 @@ __all__ = [
     "IopEntry",
     "IopReport",
     "Predicate",
-    "PredicateTriple",
     "ScoreThreshold",
     "SingleClassError",
     "SynthConfig",
-    "TraceList",
     "anomaly_score",
     "average_path_normalizer",
-    "build_graph",
     "build_model_graph",
     "class_weights",
-    "collapse",
     "export_dot",
     "fit",
     "fixture_one",
@@ -112,13 +102,11 @@ __all__ = [
     "max_tree_depth",
     "predicate_id",
     "predicate_label",
-    "prune_deep_outlier_traces",
     "rank_report",
     "read_csv",
     "save_model",
     "score_graph",
     "score_samples",
-    "traverse",
     "write_dataset_csv",
     "write_explanation_bundle",
     "write_graph_json",

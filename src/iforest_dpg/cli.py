@@ -492,6 +492,8 @@ def _repro_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     if args.fixture is not None:
         return _repro_fixture(args)
     return _repro_dataset(args)

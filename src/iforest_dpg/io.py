@@ -30,11 +30,9 @@ import numpy as np
 from . import __version__
 from .dpg import (
     INLIER_ID,
-    LE,
     OUTLIER_ID,
     SOURCE_ID,
     DpGraph,
-    node_sort_key,
     predicate_id,
     predicate_label,
 )
@@ -492,13 +490,7 @@ def graph_to_dict(graph: DpGraph, report: IopReport | None = None) -> dict[str, 
             {"id": cid, "kind": "class", "feature": None, "sign": None, "iop": None}
         )
 
-    edges = [
-        {"src": src, "dst": dst, "weight": w}
-        for (src, dst), w in sorted(
-            graph.edges.items(),
-            key=lambda kv: (node_sort_key(kv[0][0]), node_sort_key(kv[0][1])),
-        )
-    ]
+    edges = [{"src": src, "dst": dst, "weight": w} for (src, dst), w in graph.edges.items()]
     return {
         "schema_version": SCHEMA_VERSION,
         "nodes": nodes,
@@ -581,6 +573,11 @@ def _width_map(style: DotStyle, weights: list[float]):
     return lambda w: lo + (w - wmin) * scale
 
 
+def _dot_escape(text: str) -> str:
+    """Text for a DOT double-quoted string: backslash and quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(
     graph: DpGraph, report: IopReport, style: DotStyle | None = None
 ) -> str:
@@ -592,7 +589,8 @@ def export_dot(
     if style is None:
         style = DotStyle()
     iop_by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
-    missing = [predicate_id(p) for p in graph.predicates if predicate_id(p) not in iop_by_id]
+    predicates = graph.predicates
+    missing = [predicate_id(p) for p in predicates if predicate_id(p) not in iop_by_id]
     if missing:
         raise ValueError(f"report does not cover graph predicates: {missing}")
 
@@ -600,12 +598,12 @@ def export_dot(
     lines = ["digraph dpg {", "  rankdir=LR;"]
     if style.show_source:
         lines.append('  "SOURCE" [label="Source", shape=point];')
-    for p in sorted(graph.predicates, key=lambda q: (q.feature_index, q.sign != LE)):
+    for p in predicates:
         pid = predicate_id(p)
         step = _palette_step(style, iop_by_id[pid])
         font = ', fontcolor="#ffffff"' if step in _DARK_FILL_STEPS else ""
         lines.append(
-            f'  "{pid}" [label="{predicate_label(p, names)}", style=filled, '
+            f'  "{pid}" [label="{_dot_escape(predicate_label(p, names))}", style=filled, '
             f'fillcolor="{style.iop_palette[step]}"{font}];'
         )
     for cid, label in ((INLIER_ID, "Inliers"), (OUTLIER_ID, "Outliers")):
@@ -618,9 +616,7 @@ def export_dot(
     ]
     if shown:
         width_of = _width_map(style, [w for _, w in shown])
-        for (src, dst), w in sorted(
-            shown, key=lambda kv: (node_sort_key(kv[0][0]), node_sort_key(kv[0][1]))
-        ):
+        for (src, dst), w in shown:
             lines.append(f'  "{src}" -> "{dst}" [penwidth={width_of(w):.2f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,29 +9,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dpg import (
-    INLIER_ID,
-    LE,
-    OUTLIER_ID,
-    DpGraph,
-    Predicate,
-    predicate_id,
-    predicate_label,
-)
+from .dpg import LE, DpGraph, Predicate, predicate_label
 
 
 def iop_score(f_i: float, f_o: float, f_in: float) -> float:
-    """(f_i - f_o) / f_in, clamped to [-1, 1].
+    """(f_i - f_o) / f_in, for terminal flows 0 <= f_i, f_o <= f_in.
 
-    Terminal flows and inflow are accumulated in different orders, so a node
-    whose flow is entirely terminal can come out a few ulps past an endpoint;
-    the clamp restores the documented range.
+    The result lies in [-1, 1] with no clamp: |f_i - f_o| <= max(f_i, f_o)
+    <= f_in, and rounding is monotone, so neither the difference nor the
+    quotient can round past those bounds. A pure node (f_i == f_in, f_o == 0
+    or the reverse) gives exactly +1 or -1.
     """
     if f_in <= 0.0:
         raise ValueError(f"f_in must be positive, got {f_in}")
     if f_i < 0.0 or f_o < 0.0:
         raise ValueError("terminal flows must be non-negative")
-    return min(1.0, max(-1.0, (f_i - f_o) / f_in))
+    if max(f_i, f_o) > f_in:
+        raise ValueError(f"terminal flow {max(f_i, f_o)} exceeds the inflow {f_in}")
+    return (f_i - f_o) / f_in
 
 
 @dataclass(frozen=True)
@@ -58,21 +53,23 @@ class IopReport:
 
 
 def score_graph(graph: DpGraph) -> IopReport:
-    """Score every predicate node of the graph.
+    """Score every predicate node of the graph from its integer count sums.
 
-    f_in sums all incoming edges including the virtual source and self-loops;
-    missing terminal edges count as zero flow.
+    f_i = c_in[v, INLIER]*w_i, f_o = c_out[v, OUTLIER]*w_o and f_in =
+    sum(c_in[:, v])*w_i + sum(c_out[:, v])*w_o, which counts the virtual
+    source and self-loops. A terminal count is at most its node's inflow
+    count, so f_i, f_o <= f_in holds after rounding too and `iop_score` needs
+    no clamp; a node whose flow all ends in one class scores exactly +1 or -1.
     """
-    inflow: dict[str, float] = {}
-    for (_, dst), w in graph.edges.items():
-        inflow[dst] = inflow.get(dst, 0.0) + w
-
+    w_i, w_o = graph.weights.w_i, graph.weights.w_o
+    into_i, into_o = graph.c_in.sum(axis=0), graph.c_out.sum(axis=0)
+    # The last two columns are the INLIER and OUTLIER terminals.
     entries = []
     for p in graph.predicates:
-        pid = predicate_id(p)
-        f_i = graph.edge_weight(pid, INLIER_ID)
-        f_o = graph.edge_weight(pid, OUTLIER_ID)
-        f_in = inflow.get(pid, 0.0)
+        v = graph.index(p)
+        f_i = float(graph.c_in[v, -2] * w_i)
+        f_o = float(graph.c_out[v, -1] * w_o)
+        f_in = float(into_i[v] * w_i + into_o[v] * w_o)
         entries.append(
             IopEntry(predicate=p, iop=iop_score(f_i, f_o, f_in), f_i=f_i, f_o=f_o, f_in=f_in)
         )

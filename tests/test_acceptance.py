@@ -8,6 +8,7 @@ unless it is present (tests/data/annthyroid.csv or IFDPG_ANNTHYROID).
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,9 @@ import pytest
 from iforest_dpg.cli import main
 from iforest_dpg.dpg import (
     INLIER_ID,
-    LE,
     OUTLIER_ID,
     SOURCE_ID,
     ClassWeights,
-    DpGraph,
-    Predicate,
     SingleClassError,
     build_model_graph,
     class_weights,
@@ -40,6 +38,7 @@ from iforest_dpg.io import read_csv
 from iforest_dpg.metrics import score_graph
 from iforest_dpg.synth import fixture_one, fixture_two
 
+from graph_reference import graph_of
 from test_dpg import _oracle_edges
 from tree_reference import trees_of, walk
 
@@ -90,16 +89,15 @@ def test_class_weight_exactness():
 def test_iop_endpoint_exactness():
     w = ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1)
 
-    def one_node(f_i, f_o):
-        edges = {(SOURCE_ID, "F0_LE"): f_i + f_o}
-        if f_i:
-            edges[("F0_LE", INLIER_ID)] = f_i
-        if f_o:
-            edges[("F0_LE", OUTLIER_ID)] = f_o
-        g = DpGraph(predicates=[Predicate(0, LE)], edges=edges, weights=w)
-        return score_graph(g).entries[0].iop
+    def one_node(c_i, c_o):
+        counts = {
+            (SOURCE_ID, "F0_LE"): (c_i, c_o),
+            ("F0_LE", INLIER_ID): (c_i, 0),
+            ("F0_LE", OUTLIER_ID): (0, c_o),
+        }
+        return score_graph(graph_of(counts, 1, w)).entries[0].iop
 
-    pure_in, pure_out, neutral = one_node(4.0, 0.0), one_node(0.0, 4.0), one_node(3.0, 3.0)
+    pure_in, pure_out, neutral = one_node(2, 0), one_node(0, 2), one_node(3, 3)
     ok = pure_in == 1.0 and pure_out == -1.0 and neutral == 0.0
     _verdict(
         "IOP endpoint semantics",
@@ -185,19 +183,15 @@ def test_randomized_property_suite():
             continue
         graphs += 1
         report = score_graph(g)
+        for counts in (g.c_in, g.c_out):
+            # Flow conservation at every predicate node, exactly.
+            assert np.array_equal(counts.sum(axis=0)[1:-2], counts.sum(axis=1)[1:-2])
         for p in g.predicates:
-            pid = predicate_id(p)
-            inflow, outflow = g.incoming_weight(pid), g.outgoing_weight(pid)
-            assert inflow > 0
-            assert abs(inflow - outflow) <= 1e-9 * inflow
+            assert g.c_in[:, g.index(p)].sum() + g.c_out[:, g.index(p)].sum() > 0
         for e in report.entries:
             assert -1.0 <= e.iop <= 1.0
-        scaled = DpGraph(
-            predicates=g.predicates,
-            edges={k: w * 7.5 for k, w in g.edges.items()},
-            weights=g.weights,
-            metadata=g.metadata,
-        )
+        w = g.weights
+        scaled = replace(g, weights=replace(w, w_o=w.w_o * 7.5, w_i=w.w_i * 7.5))
         for e1, e2 in zip(report.entries, score_graph(scaled).entries):
             assert e2.iop == pytest.approx(e1.iop, rel=1e-9)
     elapsed = time.monotonic() - start

@@ -475,6 +475,16 @@ def test_repro_requires_exactly_one_target(capsys, tmp_path):
     )[0] == 1
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+@pytest.mark.parametrize("target", [["--fixture", "one"], ["--dataset", "missing.csv"]])
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_repro_rejects_fewer_than_one_seed(capsys, seeds, target, form):
+    code, stdout, err = run(capsys, "repro", *target, "--seeds", seeds, *form)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --seeds must be >= 1\n"
+
+
 def test_repro_dataset_demands_expected_columns(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n3,4\n")

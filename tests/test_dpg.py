@@ -13,17 +13,10 @@ from iforest_dpg.dpg import (
     SOURCE_ID,
     ClassWeights,
     Predicate,
-    PredicateTriple,
-    TraceList,
-    build_graph,
     build_model_graph,
     class_weights,
-    collapse,
-    node_sort_key,
     predicate_id,
     predicate_label,
-    prune_deep_outlier_traces,
-    traverse,
 )
 from iforest_dpg.forest import (
     Contamination,
@@ -35,6 +28,15 @@ from iforest_dpg.forest import (
     max_tree_depth,
 )
 from iforest_dpg.io import model_from_dict, model_to_dict
+from iforest_dpg.metrics import score_graph
+from graph_reference import (
+    PredicateTriple,
+    TraceList,
+    build_graph,
+    collapse,
+    prune_deep_outlier_traces,
+    traverse,
+)
 from tree_reference import Tree, flat, route, trees_of
 
 
@@ -64,21 +66,8 @@ def test_predicate_ids_and_labels():
     assert predicate_label(gt, ["Age", "TSH"]) == "Age >"
 
 
-def test_node_sort_key_order():
-    ids = ["OUTLIER", "F1_GT", "SOURCE", "F0_GT", "INLIER", "F1_LE", "F0_LE"]
-    assert sorted(ids, key=node_sort_key) == [
-        "SOURCE",
-        "F0_LE",
-        "F0_GT",
-        "F1_LE",
-        "F1_GT",
-        "INLIER",
-        "OUTLIER",
-    ]
-
-
 # ---------------------------------------------------------------------------
-# traverse
+# traverse (the reference trace pipeline in graph_reference.py)
 
 
 def test_traverse_single_split():
@@ -226,12 +215,19 @@ def test_build_graph_hand_traced_aggregation():
         _ctrace("Inlier", [A, B]),
         _ctrace("Outlier", [A, B], sample=1),
     ]
-    g = build_graph(traces, weights)
-    assert g.edge_weight(SOURCE_ID, "F0_LE") == 4.0
-    assert g.edge_weight("F0_LE", "F1_GT") == 4.0
-    assert g.edge_weight("F1_GT", INLIER_ID) == 2.0
-    assert g.edge_weight("F1_GT", OUTLIER_ID) == 2.0
+    g = build_graph(traces, weights, n_features=2)
+    # Edges come in node order: SOURCE, F0 <=, F0 >, F1 <=, F1 >, terminals.
+    assert list(g.edges.items()) == [
+        ((SOURCE_ID, "F0_LE"), 4.0),
+        (("F0_LE", "F1_GT"), 4.0),
+        (("F1_GT", INLIER_ID), 2.0),
+        (("F1_GT", OUTLIER_ID), 2.0),
+    ]
     assert g.predicates == [A, B]
+    # Rows and columns: SOURCE, F0_LE, F0_GT, F1_LE, F1_GT, INLIER, OUTLIER.
+    assert g.c_in[0, 1] == g.c_in[1, 4] == g.c_in[4, 5] == 1
+    assert g.c_out[0, 1] == g.c_out[1, 4] == g.c_out[4, 6] == 1
+    assert g.c_in.sum() == g.c_out.sum() == 3
 
 
 def test_build_graph_single_trace_and_duplicates():
@@ -239,10 +235,13 @@ def test_build_graph_single_trace_and_duplicates():
     g = build_graph(
         [_ctrace("Inlier", [A]), _ctrace("Outlier", [A]), _ctrace("Outlier", [A])],
         weights,
+        n_features=1,
     )
-    assert g.edge_weight(SOURCE_ID, "F0_LE") == 2.0 + 3.0 + 3.0
-    assert g.edge_weight("F0_LE", INLIER_ID) == 2.0
-    assert g.edge_weight("F0_LE", OUTLIER_ID) == 6.0
+    assert g.edges == {
+        (SOURCE_ID, "F0_LE"): 2.0 + 3.0 + 3.0,
+        ("F0_LE", INLIER_ID): 2.0,
+        ("F0_LE", OUTLIER_ID): 6.0,
+    }
 
 
 def test_build_graph_empty_traces_route_source_to_terminal():
@@ -250,10 +249,13 @@ def test_build_graph_empty_traces_route_source_to_terminal():
     g = build_graph(
         [_ctrace("Outlier", []), _ctrace("Inlier", [A])],
         weights,
+        n_features=1,
     )
-    assert g.edge_weight(SOURCE_ID, OUTLIER_ID) == 4.0
-    assert g.edge_weight(SOURCE_ID, "F0_LE") == 1.5
-    assert g.edge_weight("F0_LE", INLIER_ID) == 1.5
+    assert g.edges == {
+        (SOURCE_ID, "F0_LE"): 1.5,
+        (SOURCE_ID, OUTLIER_ID): 4.0,
+        ("F0_LE", INLIER_ID): 1.5,
+    }
 
 
 def test_build_graph_self_loop_from_repeated_predicate():
@@ -261,16 +263,17 @@ def test_build_graph_self_loop_from_repeated_predicate():
     g = build_graph(
         [_ctrace("Outlier", [A, A]), _ctrace("Inlier", [B])],
         weights,
+        n_features=2,
     )
-    assert g.edge_weight("F0_LE", "F0_LE") == 2.0
+    assert g.edges[("F0_LE", "F0_LE")] == 2.0
 
 
 def test_build_graph_errors():
     weights = ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1)
     with pytest.raises(ValueError):
-        build_graph([], weights)
+        build_graph([], weights, n_features=1)
     with pytest.raises(SingleClassError):
-        build_graph([_ctrace("Inlier", [A])], weights)
+        build_graph([_ctrace("Inlier", [A])], weights, n_features=1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +295,11 @@ def _oracle_edges(model, data):
     for tree in trees_of(model):
         for s in range(data.n_samples):
             label = str(model.labels[s])
-            pairs, _ = route(tree, data.features[s])
-            if label == "Outlier" and len(pairs) >= dmax:
+            steps, _ = route(tree, data.features[s])
+            if label == "Outlier" and len(steps) >= dmax:
                 continue
             kept[label] += 1
-            ids = [f"F{f}_{'LE' if sign == LE else 'GT'}" for f, sign in pairs]
+            ids = [f"F{f}_{'LE' if sign == LE else 'GT'}" for f, sign, _ in steps]
             terminal = "OUTLIER" if label == "Outlier" else "INLIER"
             chain = ["SOURCE"] + ids + [terminal]
             for a, b in zip(chain, chain[1:]):
@@ -306,9 +309,21 @@ def _oracle_edges(model, data):
     return edges
 
 
+def _oracle_iops(edges):
+    """Fraction-exact IOP of every predicate node of an oracle edge map."""
+    inflow: dict[str, Fraction] = {}
+    for (_, dst), w in edges.items():
+        inflow[dst] = inflow.get(dst, Fraction(0)) + w
+    return {
+        node: (edges.get((node, "INLIER"), 0) - edges.get((node, "OUTLIER"), 0)) / f_in
+        for node, f_in in inflow.items()
+        if node not in ("INLIER", "OUTLIER")
+    }
+
+
 def test_oracle_equivalence_on_random_tiny_instances():
     rng = np.random.default_rng(2024)
-    built = 0
+    built, pure = 0, 0
     for trial in range(50):
         n = int(rng.integers(4, 11))
         d = int(rng.integers(1, 4))
@@ -332,7 +347,17 @@ def test_oracle_equivalence_on_random_tiny_instances():
         assert set(g.edges) == set(expected)
         for key, frac in expected.items():
             assert g.edges[key] == pytest.approx(float(frac), rel=1e-9)
+        exact = _oracle_iops(expected)
+        report = score_graph(g)
+        assert {predicate_id(e.predicate) for e in report.entries} == set(exact)
+        for e in report.entries:
+            iop = exact[predicate_id(e.predicate)]
+            assert abs(Fraction(e.iop) - iop) <= Fraction(4, 2**52)
+            if abs(iop) == 1:
+                assert e.iop == iop
+                pure += 1
     assert built >= 25, f"only {built}/50 instances produced two-class graphs"
+    assert pure > 0, "no pure-class predicate node was exercised"
 
 
 def test_fused_pipeline_matches_object_route(small_model):
@@ -341,11 +366,11 @@ def test_fused_pipeline_matches_object_route(small_model):
     dmax = max_tree_depth(model.subsample_size)
     traces = collapse(prune_deep_outlier_traces(traverse(model, data), dmax))
     w = class_weights(model.outlier_count(), model.inlier_count())
-    staged = build_graph(traces, w)
+    staged = build_graph(traces, w, data.n_features)
+    assert np.array_equal(staged.c_in, fused.c_in)
+    assert np.array_equal(staged.c_out, fused.c_out)
     assert staged.predicates == fused.predicates
-    assert set(staged.edges) == set(fused.edges)
-    for key in staged.edges:
-        assert staged.edges[key] == fused.edges[key]  # bit-identical accumulation
+    assert list(staged.edges.items()) == list(fused.edges.items())
 
 
 def test_graph_from_reloaded_model_matches_fitted(small_model):
@@ -357,8 +382,8 @@ def test_graph_from_reloaded_model_matches_fitted(small_model):
     assert reloaded._train_counts is None
     fresh = build_model_graph(model, data)
     again = build_model_graph(reloaded, data)
-    assert again.edges == fresh.edges
-    assert again.predicates == fresh.predicates
+    assert np.array_equal(again.c_in, fresh.c_in)
+    assert np.array_equal(again.c_out, fresh.c_out)
     assert again.metadata == fresh.metadata
 
 
@@ -369,12 +394,12 @@ def test_graph_on_other_data_ignores_cached_counts(small_model):
     )
     uncached = model_from_dict(model_to_dict(model))
     expected = build_model_graph(uncached, other)
-    assert build_model_graph(model, other).edges == expected.edges
+    assert np.array_equal(build_model_graph(model, other).c_in, expected.c_in)
     # Overwriting the training matrix in place must not serve its old counts.
     data.features[:] = other.features
     rewritten = build_model_graph(model, data)
-    assert rewritten.edges == expected.edges
-    assert rewritten.predicates == expected.predicates
+    assert np.array_equal(rewritten.c_in, expected.c_in)
+    assert np.array_equal(rewritten.c_out, expected.c_out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +407,19 @@ def test_graph_on_other_data_ignores_cached_counts(small_model):
 
 
 def _assert_graph_invariants(g, n_features):
-    # Node count bound: 2d predicates + source + two terminals.
-    assert len(g.predicates) + 3 <= 2 * n_features + 3
-    # Terminals emit nothing; the source absorbs nothing.
-    for (src, dst) in g.edges:
-        assert src not in (INLIER_ID, OUTLIER_ID)
-        assert dst != SOURCE_ID
-    # Flow conservation at every predicate node.
+    # One row and column per node: 2d predicates + source + two terminals.
+    size = 2 * n_features + 3
+    for counts in (g.c_in, g.c_out):
+        assert counts.shape == (size, size) and counts.dtype == np.int64
+        assert counts.min() >= 0
+        # Terminals emit nothing; the source absorbs nothing.
+        assert not counts[-2:].any() and not counts[:, 0].any()
+        # Flow conservation at every predicate node, per class, exactly.
+        assert np.array_equal(counts.sum(axis=0)[1:-2], counts.sum(axis=1)[1:-2])
+    # Inlier traces end at INLIER, outlier traces at OUTLIER.
+    assert not g.c_in[:, -1].any() and not g.c_out[:, -2].any()
     for p in g.predicates:
-        pid = predicate_id(p)
-        inflow = g.incoming_weight(pid)
-        outflow = g.outgoing_weight(pid)
-        assert inflow == pytest.approx(outflow, rel=1e-9)
-        assert inflow > 0
+        assert g.c_in[:, g.index(p)].sum() + g.c_out[:, g.index(p)].sum() > 0
     # Every predicate reaches a terminal and is reached from the source.
     forward = {SOURCE_ID}
     frontier = [SOURCE_ID]
@@ -429,17 +454,16 @@ def test_graph_invariants_on_small_model(small_model):
 
 
 def test_terminal_inflow_identity(small_model):
-    # Total terminal inflow equals w_i * (#inlier traces) + w_o * (#kept
-    # outlier traces).
+    # The terminal counts are the kept traces of each class, exactly.
     data, model = small_model
     g = build_model_graph(model, data)
     dmax = max_tree_depth(model.subsample_size)
     traces = prune_deep_outlier_traces(traverse(model, data), dmax)
     n_out = sum(1 for t in traces if t.class_label == "Outlier")
     n_in = sum(1 for t in traces if t.class_label == "Inlier")
-    expected = g.weights.w_i * n_in + g.weights.w_o * n_out
-    observed = g.incoming_weight(INLIER_ID) + g.incoming_weight(OUTLIER_ID)
-    assert observed == pytest.approx(expected, rel=1e-9)
+    # One terminal transition per kept trace, and one start from SOURCE.
+    assert g.c_in[:, -2].sum() == g.c_in[0].sum() == n_in
+    assert g.c_out[:, -1].sum() == g.c_out[0].sum() == n_out
     assert g.metadata["traces_pruned"] == model.params.n_trees * data.n_samples - len(
         traces
     )

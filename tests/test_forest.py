@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iforest_dpg import forest as forest_module
-from iforest_dpg.dpg import GT, _tree_paths
+from iforest_dpg.dpg import GT
 from iforest_dpg.forest import (
     C1,
     OUTLIER,
@@ -181,7 +181,7 @@ def test_route_matches_object_walk_on_edge_cases():
         visits = np.bincount(_route(single, X)[0], minlength=single.n_nodes)
         expected = np.zeros(m * m, dtype=np.int64)
         for x in X:
-            codes = [2 * f + (sign == GT) for f, sign in route(tree, x)[0]]
+            codes = [2 * f + (sign == GT) for f, sign, _ in route(tree, x)[0]]
             chain = [source, *codes, end]
             for a, b in zip(chain, chain[1:]):
                 expected[a * m + b] += 1
@@ -191,16 +191,16 @@ def test_route_matches_object_walk_on_edge_cases():
     assert _route(first, np.empty((0, 2))).shape == (1, 0)
 
 
-def _stepwise_counts(forest, X, depth_cap, keep):
+def _stepwise_counts(trees, X, keep):
     """Transition counts by walking each kept (tree, row) route step by step."""
     m = 2 * X.shape[1] + 2
     counts = np.zeros(m * m, dtype=np.int64)
-    for root in forest.roots:
-        codes, lengths, _ = _tree_paths(forest, root, X, depth_cap)
-        for i in range(len(X)):
-            if not keep(lengths[i]):
+    for tree in trees:
+        for x in X:
+            steps, _ = route(tree, x)
+            if not keep(len(steps)):
                 continue
-            chain = [m - 2, *codes[i, : lengths[i]].tolist(), m - 1]
+            chain = [m - 2, *(2 * f + (sign == GT) for f, sign, _ in steps), m - 1]
             for a, b in zip(chain, chain[1:]):
                 counts[a * m + b] += 1
     return counts
@@ -217,24 +217,25 @@ def test_transition_counts_match_stepwise_routes(seed):
     data = Dataset(features=X, feature_names=[f"F{i}" for i in range(d)])
     model = fit(data, ForestParams(n_trees=12, max_subsample=32, seed=seed))
     forest = model.forest
+    trees = trees_of(model)
     cap = model.max_depth
     visits = np.bincount(_route(forest, X).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
         _transition_counts(forest, visits, d),
-        _stepwise_counts(forest, X, cap, lambda k: True),
+        _stepwise_counts(trees, X, lambda k: True),
     )
     assert np.array_equal(model._train_counts[1], _transition_counts(forest, visits, d))
     subset = X[rng.choice(n, size=17, replace=False)]
     sub_visits = np.bincount(_route(forest, subset).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
         _transition_counts(forest, sub_visits, d),
-        _stepwise_counts(forest, subset, cap, lambda k: True),
+        _stepwise_counts(trees, subset, lambda k: True),
     )
     deep_visits = np.where(forest.depth >= cap, sub_visits, 0)
     assert deep_visits.sum() > 0
     assert np.array_equal(
         _transition_counts(forest, deep_visits, d),
-        _stepwise_counts(forest, subset, cap, lambda k: k >= cap),
+        _stepwise_counts(trees, subset, lambda k: k >= cap),
     )
 
 

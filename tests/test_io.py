@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import re
 import warnings
+from dataclasses import replace
 
 import csv_reference
 import numpy as np
@@ -10,13 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iforest_dpg.dpg import (
-    GT,
     INLIER_ID,
     LE,
     OUTLIER_ID,
     SOURCE_ID,
     ClassWeights,
-    DpGraph,
     Predicate,
     build_model_graph,
     predicate_id,
@@ -40,6 +40,7 @@ from iforest_dpg.io import (
 )
 from iforest_dpg.metrics import IopEntry, IopReport, score_graph
 from iforest_dpg.synth import InjectionSpec, SynthConfig, generate
+from graph_reference import graph_of
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +365,16 @@ def test_model_json_preserves_label_rule_kinds(tmp_path, small_data):
 # graph JSON
 
 
-def _tiny_graph():
-    preds = [Predicate(0, LE), Predicate(0, GT)]
-    edges = {
-        (SOURCE_ID, "F0_LE"): 4.0,
-        (SOURCE_ID, "F0_GT"): 2.0,
-        ("F0_LE", INLIER_ID): 4.0,
-        ("F0_GT", OUTLIER_ID): 2.0,
+def _tiny_graph(outlier_traces=1):
+    # Two inlier traces through F0 <= and outlier traces through F0 >.
+    counts = {
+        (SOURCE_ID, "F0_LE"): (2, 0),
+        (SOURCE_ID, "F0_GT"): (0, outlier_traces),
+        ("F0_LE", INLIER_ID): (2, 0),
+        ("F0_GT", OUTLIER_ID): (0, outlier_traces),
     }
-    return DpGraph(
-        predicates=preds,
-        edges=edges,
-        weights=ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1),
-        metadata={"feature_names": ["Age"]},
-    )
+    weights = ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1)
+    return graph_of(counts, 1, weights, {"feature_names": ["Age"]})
 
 
 def test_graph_to_dict_structure():
@@ -503,13 +500,27 @@ def test_export_dot_penwidths_bounded_and_monotone(small_model):
 
 
 def test_export_dot_equal_weights_use_midpoint_width():
-    g = _tiny_graph()
-    # the two non-source edges carry different weights; force equality
-    g.edges[("F0_GT", OUTLIER_ID)] = 4.0
+    # Two traces of each class: the two non-source edges weigh the same.
+    g = _tiny_graph(outlier_traces=2)
     text = export_dot(g, score_graph(g))
     for line in text.splitlines():
         if "->" in line:
             assert line.endswith("penwidth=3.25];")
+
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_labels():
+    for name in ('a"b', "back\\slash", 'x\\"y', '"', "\\"):
+        g = replace(_tiny_graph(), metadata={"feature_names": [name]})
+        text = export_dot(g, score_graph(g))
+        labels = re.findall(r"label=(\S.*?)(?:, |\];)", text)
+        assert len(labels) == 4
+        for label in labels:
+            assert DOT_STRING.fullmatch(label), label
+        escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+        assert f'"F0_LE" [label="{escaped} <=", ' in text
 
 
 def test_export_dot_requires_full_report_coverage():

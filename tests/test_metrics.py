@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from iforest_dpg.dpg import (
     OUTLIER_ID,
     SOURCE_ID,
     ClassWeights,
-    DpGraph,
     Predicate,
     SingleClassError,
     build_model_graph,
@@ -20,12 +20,14 @@ from iforest_dpg.dpg import (
 )
 from iforest_dpg.forest import Contamination, Dataset, ForestParams, fit
 from iforest_dpg.metrics import IopEntry, IopReport, iop_score, rank_report, score_graph
+from graph_reference import graph_of
 
 W = ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1)
 
 
-def _graph(edges, predicates):
-    return DpGraph(predicates=predicates, edges=dict(edges), weights=W)
+def _graph(counts, n_features):
+    """Graph from per-edge (inlier, outlier) counts, both classes weighted 2."""
+    return graph_of(counts, n_features, W)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,8 @@ def test_iop_rejects_bad_flows():
         iop_score(-1.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         iop_score(0.0, -1.0, 2.0)
+    with pytest.raises(ValueError, match="exceeds the inflow"):
+        iop_score(3.0, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +56,17 @@ def test_iop_rejects_bad_flows():
 
 
 def test_score_graph_hand_traced_example():
-    # SOURCE->A 4, A->B 4, B->Inlier 2, B->Outlier 2.
+    # One inlier and one outlier trace A -> B: SOURCE->A 4, A->B 4,
+    # B->Inlier 2, B->Outlier 2.
     a, b = Predicate(0, LE), Predicate(1, GT)
     g = _graph(
         {
-            (SOURCE_ID, "F0_LE"): 4.0,
-            ("F0_LE", "F1_GT"): 4.0,
-            ("F1_GT", INLIER_ID): 2.0,
-            ("F1_GT", OUTLIER_ID): 2.0,
+            (SOURCE_ID, "F0_LE"): (1, 1),
+            ("F0_LE", "F1_GT"): (1, 1),
+            ("F1_GT", INLIER_ID): (1, 0),
+            ("F1_GT", OUTLIER_ID): (0, 1),
         },
-        [a, b],
+        2,
     )
     report = score_graph(g)
     by = report.by_predicate()
@@ -73,11 +78,9 @@ def test_score_graph_hand_traced_example():
 
 def test_score_graph_pure_inlier_node_scores_one():
     a = Predicate(0, LE)
-    g = _graph(
-        {(SOURCE_ID, "F0_LE"): 2.0, ("F0_LE", INLIER_ID): 2.0},
-        [a],
-    )
+    g = _graph({(SOURCE_ID, "F0_LE"): (1, 0), ("F0_LE", INLIER_ID): (1, 0)}, 1)
     report = score_graph(g)
+    assert report.entries[0].predicate == a
     assert report.entries[0].iop == 1.0
 
 
@@ -85,30 +88,30 @@ def test_score_graph_self_loop_counts_into_inflow():
     a = Predicate(0, LE)
     g = _graph(
         {
-            (SOURCE_ID, "F0_LE"): 2.0,
-            ("F0_LE", "F0_LE"): 2.0,
-            ("F0_LE", OUTLIER_ID): 2.0,
+            (SOURCE_ID, "F0_LE"): (0, 1),
+            ("F0_LE", "F0_LE"): (0, 1),
+            ("F0_LE", OUTLIER_ID): (0, 1),
         },
-        [a],
+        1,
     )
     entry = score_graph(g).entries[0]
+    assert entry.predicate == a
     assert entry.f_in == 4.0  # source + self-loop
     assert entry.iop == (0.0 - 2.0) / 4.0
 
 
 def test_report_sorted_descending_with_tie_break():
     # Two nodes tied at iop 1: lower feature first, LE before GT.
-    preds = [Predicate(2, GT), Predicate(2, LE), Predicate(0, GT)]
     g = _graph(
         {
-            (SOURCE_ID, "F2_GT"): 1.0,
-            ("F2_GT", INLIER_ID): 1.0,
-            (SOURCE_ID, "F2_LE"): 1.0,
-            ("F2_LE", INLIER_ID): 1.0,
-            (SOURCE_ID, "F0_GT"): 2.0,
-            ("F0_GT", OUTLIER_ID): 2.0,
+            (SOURCE_ID, "F2_GT"): (1, 0),
+            ("F2_GT", INLIER_ID): (1, 0),
+            (SOURCE_ID, "F2_LE"): (1, 0),
+            ("F2_LE", INLIER_ID): (1, 0),
+            (SOURCE_ID, "F0_GT"): (0, 1),
+            ("F0_GT", OUTLIER_ID): (0, 1),
         },
-        preds,
+        3,
     )
     report = score_graph(g)
     ids = [predicate_id(e.predicate) for e in report.entries]
@@ -179,13 +182,9 @@ def test_iop_invariant_under_uniform_weight_scaling(small_model):
     data, model = small_model
     g = build_model_graph(model, data)
     base = score_graph(g)
+    w = g.weights
     for scale in (0.25, 3.0, 1e6):
-        scaled = DpGraph(
-            predicates=g.predicates,
-            edges={k: w * scale for k, w in g.edges.items()},
-            weights=g.weights,
-            metadata=g.metadata,
-        )
+        scaled = replace(g, weights=replace(w, w_o=w.w_o * scale, w_i=w.w_i * scale))
         other = score_graph(scaled)
         for e1, e2 in zip(base.entries, other.entries):
             assert e1.predicate == e2.predicate
@@ -199,12 +198,9 @@ def test_terminal_difference_identity(small_model):
     g = build_model_graph(model, data)
     report = score_graph(g)
     lhs = sum(e.f_i - e.f_o for e in report.entries)
-    rhs = (
-        g.incoming_weight(INLIER_ID)
-        - g.incoming_weight(OUTLIER_ID)
-        - g.edge_weight(SOURCE_ID, INLIER_ID)
-        + g.edge_weight(SOURCE_ID, OUTLIER_ID)
-    )
+    into_i = int(g.c_in[1:, -2].sum())
+    into_o = int(g.c_out[1:, -1].sum())
+    rhs = into_i * g.weights.w_i - into_o * g.weights.w_o
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

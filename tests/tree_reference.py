@@ -91,21 +91,22 @@ def walk(tree, i=0, depth=0):
 
 
 def route(tree, x, i=0):
-    """(predicates, leaf): the (feature, sign) pairs from the root to x's leaf."""
-    f = tree.feature[i]
+    """(steps, leaf): the (feature, sign, split value) of every split from the
+    root to x's leaf."""
+    f, v = tree.feature[i], tree.split[i]
     if f < 0:
         return [], i
-    if x[f] <= tree.split[i]:
+    if x[f] <= v:
         rest, leaf = route(tree, x, i + 1)
-        return [(f, LE), *rest], leaf
+        return [(f, LE, v), *rest], leaf
     rest, leaf = route(tree, x, tree.right[i])
-    return [(f, GT), *rest], leaf
+    return [(f, GT, v), *rest], leaf
 
 
 def path_length(tree, x, leaf_adjustment) -> float:
     """Edges from the root to x's leaf, plus c(leaf size) when adjusting."""
-    predicates, leaf = route(tree, x)
+    steps, leaf = route(tree, x)
     size = tree.size[leaf]
     if leaf_adjustment and size > 1:
-        return len(predicates) + average_path_normalizer(size)
-    return float(len(predicates))
+        return len(steps) + average_path_normalizer(size)
+    return float(len(steps))
