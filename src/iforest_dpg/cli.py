@@ -190,7 +190,13 @@ def _run_explain(
     return model, graph, score_graph(graph)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.fixture is not None:
         if args.inject or args.means or args.stds:
             raise ValueError("--fixture cannot be combined with --inject/--means/--stds")
@@ -494,6 +500,7 @@ def _repro_dataset(args: argparse.Namespace) -> int:
 def cmd_repro(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
+    _check_seed(args.seed)
     if args.fixture is not None:
         return _repro_fixture(args)
     return _repro_dataset(args)

@@ -1,12 +1,15 @@
 """Isolation forest training, scoring, and inlier/outlier labeling.
 
 Trees are grown on uniform random subsamples with uniformly random
-feature/value splits, each straight into preorder arrays; a fitted forest is
-one node table of all trees (`FlatForest`), the only tree form, which every
-routing pass reads. Anomaly scores follow the classic path-length
-normalization: s = 2^(-E[h(x)] / c(n)) where c(n) is the expected
-unsuccessful-search path length in a binary search tree of n points. New
-rows are labeled by the model's score cutoff, fixed at fit time.
+feature/value splits. Trees grow in lockstep, one node of each per numpy
+step, straight into preorder arrays; each tree's draws come from its own
+seeded Generator stream, replayed from raw bit-generator words in the order a
+recursive grower would draw them. A fitted forest is one node table of all
+trees (`FlatForest`), the only tree form, which every routing pass reads.
+Anomaly scores follow the classic path-length normalization:
+s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
+length in a binary search tree of n points. New rows are labeled by the
+model's score cutoff, fixed at fit time.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class ForestParams:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_subsample < 2:
             raise ValueError(f"max_subsample must be >= 2, got {self.max_subsample}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.label_rule, Contamination):
             if not 0.0 < self.label_rule.fraction < 0.5:
                 raise ValueError(
@@ -261,73 +266,212 @@ class ForestModel:
         return int(np.count_nonzero(self.labels == INLIER))
 
 
-def _draw_split(rows: np.ndarray, rng: np.random.Generator) -> tuple[int, float] | None:
-    """A random (feature, value) split of `rows`; None if all rows are identical.
+# Tree growth replays each tree's Generator stream from its bit generator's
+# raw 64-bit words. Generator's `integers(k)` draws a 32-bit value through the
+# bit generator's buffered `next_uint32`: the low half of a fresh word, keeping
+# the high half for the next 32-bit draw. `uniform` takes a whole word.
+_LOW32 = np.uint64(0xFFFFFFFF)
+# `uniform` scales a word's top 53 bits by 2**-53 to a double in [0, 1).
+_UNIT = 2.0**-53
 
-    A constant drawn feature is redrawn among the features that can still be
-    split.
+
+class _Streams:
+    """The Generator streams of many trees, drawn for a set of trees at once.
+
+    Stream t continues `generators[t]` where its caller left it. For each tree
+    listed, `integers` and `uniform` return what that Generator's
+    `integers(k)` and `uniform(lo, hi)` would return next, so trees may draw
+    in lockstep as long as each tree's own draws keep their order. A half word
+    left pending in a generator's state is used first; further words come
+    from `random_raw`, which leaves that buffer alone, and are fetched only
+    when a tree has read all it was given.
     """
-    f = int(rng.integers(rows.shape[1]))
-    lo, hi = rows[:, f].min(), rows[:, f].max()
-    if lo == hi:
-        mins = rows.min(axis=0)
-        maxs = rows.max(axis=0)
-        valid = np.flatnonzero(mins < maxs)
-        if len(valid) == 0:
-            return None
-        f = int(valid[rng.integers(len(valid))])
-        lo, hi = mins[f], maxs[f]
-    return f, float(rng.uniform(lo, hi))
+
+    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
+        self._bits = [g.bit_generator for g in generators]
+        states = [b.state for b in self._bits]
+        self._has_half = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self._half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self._words = np.empty((len(generators), 0), dtype=np.uint64)
+        self._next = np.zeros(len(generators), dtype=np.intp)
+
+    def _take(self, trees: np.ndarray) -> np.ndarray:
+        """The next word of each listed tree; a tree is listed at most once."""
+        at = self._next[trees]
+        have = self._words.shape[1]
+        if at.size and at.max() >= have:
+            more = max(have // 2, 32)
+            fetched = np.stack([b.random_raw(more) for b in self._bits])
+            self._words = np.hstack([self._words, fetched])
+        self._next[trees] = at + 1
+        return self._words[trees, at]
+
+    def _uint32(self, trees: np.ndarray) -> np.ndarray:
+        value = self._half[trees]
+        fresh = ~self._has_half[trees]
+        word = self._take(trees[fresh])
+        value[fresh] = word & _LOW32
+        self._half[trees[fresh]] = word >> np.uint64(32)
+        self._has_half[trees] = fresh
+        return value
+
+    def integers(self, trees: np.ndarray, k: int) -> np.ndarray:
+        """`integers(k)`, 1 <= k <= 2**32: Lemire's multiply-and-reject."""
+        if k == 1:
+            return np.zeros(len(trees), dtype=np.intp)
+        scale = np.uint64(k)
+        reject_below = np.uint64((2**32 - k) % k)
+        m = self._uint32(trees) * scale
+        redo = np.flatnonzero((m & _LOW32) < reject_below)
+        while redo.size:
+            m[redo] = self._uint32(trees[redo]) * scale
+            redo = redo[(m[redo] & _LOW32) < reject_below]
+        return (m >> np.uint64(32)).astype(np.intp)
+
+    def uniform(self, trees: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """`uniform(lo, hi)`: lo + (hi - lo) * u, u from the top 53 bits of a word."""
+        return lo + (hi - lo) * ((self._take(trees) >> np.uint64(11)) * _UNIT)
 
 
-def _grow_tree(
-    sub: np.ndarray, depth_cap: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Grow one tree on its subsample `sub` into (feature, split, right, size).
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the segments [start, start + length), laid end to end,
+    and where each segment begins among them."""
+    offsets = np.cumsum(lengths) - lengths
+    at = np.arange(int(lengths.sum()))
+    at += np.repeat(starts - offsets, lengths)
+    return at, offsets
 
-    The arrays are `FlatForest`'s per-tree preorder form. Nodes are made in
-    preorder from an explicit stack, left subtree first, so each internal
-    node draws its split from `rng` in the order a recursive grower would.
+
+# Subsample rows grown in one lockstep group. Each step gathers up to this
+# many rows into about ten temporary arrays, so it bounds the memory growth
+# takes whatever the number of trees; a forest of 200 trees of up to 256 rows
+# is one group.
+_GROUP_ROWS = 1 << 16
+
+
+def _grow_forest(
+    X: np.ndarray, sub_n: int, depth_cap: int, n_trees: int, seed: int
+) -> tuple[list[np.ndarray], ...]:
+    """Grow every tree into (feature, split, right, size), one array per tree.
+
+    The arrays are `FlatForest`'s per-tree preorder form. Tree t draws its
+    subsample with `default_rng(seed + t).choice` and its splits from the rest
+    of that stream, in the order a recursive grower would. Consecutive trees
+    grow in lockstep groups of at most `_GROUP_ROWS` subsample rows.
     """
-    feature: list[int] = []
-    split: list[float] = []
-    right: list[int] = []
-    size: list[int] = []
-    # (the node's rows, its depth, index of the node it is the right child of)
-    stack = [(sub, 0, -1)]
-    while stack:
-        rows, depth, parent = stack.pop()
-        i = len(feature)
-        if parent >= 0:
-            right[parent] = i
-        drawn = _draw_split(rows, rng) if len(rows) > 1 and depth < depth_cap else None
-        right.append(-1)
-        if drawn is None:
-            feature.append(-1)
-            split.append(0.0)
-            size.append(len(rows))
-            continue
-        f, v = drawn
-        feature.append(f)
-        split.append(v)
-        size.append(0)
-        mask = rows[:, f] <= v
-        stack.append((rows[~mask], depth + 1, i))
-        stack.append((rows[mask], depth + 1, -1))
-    return (
-        np.array(feature, dtype=np.int32),
-        np.array(split, dtype=np.float64),
-        np.array(right, dtype=np.intp),
-        np.array(size, dtype=np.int32),
+    per_group = max(1, _GROUP_ROWS // sub_n)
+    grown: tuple[list[np.ndarray], ...] = ([], [], [], [])
+    for first in range(seed, seed + n_trees, per_group):
+        seeds = range(first, min(first + per_group, seed + n_trees))
+        for column, group in zip(grown, _grow_lockstep(X, sub_n, depth_cap, seeds)):
+            column.extend(group)
+    return grown
+
+
+def _grow_lockstep(
+    X: np.ndarray, sub_n: int, depth_cap: int, seeds: Sequence[int]
+) -> tuple[list[np.ndarray], ...]:
+    """Grow one tree per seed in lockstep, as `_grow_forest` describes.
+
+    Each step pops the next node of every tree whose stack is not empty, so
+    node i of each tree is made at step i. A stack entry is (start, end,
+    depth, parent): the node's rows are `order[t, start:end]`, and parent is
+    the node it is the right child of, -1 for a left child. A split
+    partitions its rows in place, left rows first, and pushes the right child
+    under the left one.
+    """
+    n, d = X.shape
+    n_trees = len(seeds)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    order = np.stack([g.choice(n, size=sub_n, replace=False) for g in generators])
+    streams = _Streams(generators)
+    rows_of = order.ravel()
+    base = np.arange(n_trees) * sub_n
+    stack = np.zeros((n_trees, depth_cap + 2, 4), dtype=np.intp)
+    stack[:, 0] = (0, sub_n, 0, -1)
+    height = np.ones(n_trees, dtype=np.intp)
+    # Node i of tree t is column i; columns are added as the trees grow.
+    feature = np.empty((n_trees, 0), dtype=np.int32)
+    split = np.empty((n_trees, 0))
+    right = np.empty((n_trees, 0), dtype=np.int32)
+    size = np.empty((n_trees, 0), dtype=np.int32)
+    n_nodes = np.zeros(n_trees, dtype=np.intp)
+    live = np.arange(n_trees)
+    step = 0
+    while live.size:
+        if step == feature.shape[1]:
+            more = max(step // 2, 32)
+            feature, split, right, size = (
+                np.hstack([a, np.full((n_trees, more), fill, dtype=a.dtype)])
+                for a, fill in ((feature, -1), (split, 0.0), (right, -1), (size, 0))
+            )
+        n_nodes[live] = step + 1
+        height[live] -= 1
+        start, end, depth, parent = stack[live, height[live]].T
+        is_right = parent >= 0
+        right[live[is_right], parent[is_right]] = step
+        count = end - start
+        size[live, step] = count
+        can = np.flatnonzero((count > 1) & (depth < depth_cap))
+        trees, lengths = live[can], count[can]
+        f = streams.integers(trees, d)
+        at, offsets = _segments(base[trees] + start[can], lengths)
+        rows = rows_of[at]
+        column = X[rows, np.repeat(f, lengths)]
+        lo = np.minimum.reduceat(column, offsets)
+        hi = np.maximum.reduceat(column, offsets)
+        constant = np.flatnonzero(lo == hi)
+        if constant.size:
+            # Redraw among the features that can still be split; a node of
+            # identical rows stays a leaf.
+            for j in constant:
+                sub = X[rows[offsets[j] : offsets[j] + lengths[j]]]
+                mins, maxs = sub.min(axis=0), sub.max(axis=0)
+                valid = np.flatnonzero(mins < maxs)
+                if valid.size:
+                    f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
+                    lo[j], hi[j] = mins[f[j]], maxs[f[j]]
+            kept = lo < hi
+            can, trees, lengths, f, lo, hi = (
+                a[kept] for a in (can, trees, lengths, f, lo, hi)
+            )
+            at, offsets = _segments(base[trees] + start[can], lengths)
+            rows = rows_of[at]
+            column = X[rows, np.repeat(f, lengths)]
+        with np.errstate(over="ignore"):
+            if np.isinf(hi - lo).any():
+                raise ValueError("a feature's range is too wide to split: max - min overflows")
+        v = streams.uniform(trees, lo, hi)
+        goes_right = column > np.repeat(v, lengths)
+        key = np.repeat(np.arange(0, 2 * len(can), 2), lengths) + goes_right
+        rows_of[at] = rows[np.argsort(key, kind="stable")]
+        s, e = start[can], end[can]
+        mid = e - np.add.reduceat(goes_right, offsets, dtype=np.intp)
+        # Push the right child, then the left one on top of it.
+        top = height[trees]
+        kids = depth[can] + 1
+        stack[trees, top] = np.column_stack((mid, e, kids, np.full(len(can), step)))
+        stack[trees, top + 1] = np.column_stack((s, mid, kids, np.full(len(can), -1)))
+        height[trees] += 2
+        feature[trees, step] = f
+        split[trees, step] = v
+        size[trees, step] = 0
+        live = live[height[live] > 0]
+        step += 1
+    return tuple(
+        [a[t, :k].copy() for t, k in enumerate(n_nodes.tolist())]
+        for a in (feature, split, right, size)
     )
 
 
 def fit(data: Dataset, params: ForestParams) -> ForestModel:
     """Train an isolation forest and label every training sample.
 
-    Each tree draws its own subsample without replacement using the stream
-    seeded with `params.seed + tree_index`, so fits are reproducible and
-    tree construction could run concurrently without changing the result.
+    Tree t draws its subsample without replacement, then its splits, from the
+    stream seeded with `params.seed + t`, so fits are reproducible. The trees
+    grow together (`_grow_forest`), each drawing exactly what a grower of
+    that one tree would, so the forest does not depend on how growth is
+    batched.
     """
     X = data.features
     n = data.n_samples
@@ -340,12 +484,10 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     sub_n = min(params.max_subsample, n)
     depth_cap = max_tree_depth(sub_n)
 
-    trees = []
-    for i in range(params.n_trees):
-        rng = np.random.default_rng(params.seed + i)
-        idx = rng.choice(n, size=sub_n, replace=False)
-        trees.append(_grow_tree(X[idx], depth_cap, rng))
-    forest = FlatForest(*zip(*trees), leaf_adjustment=params.leaf_adjustment)
+    forest = FlatForest(
+        *_grow_forest(X, sub_n, depth_cap, params.n_trees, params.seed),
+        leaf_adjustment=params.leaf_adjustment,
+    )
 
     # The one routing pass over the training set: it yields the scores and the
     # leaf occupancy the graph builder's transition counts are read from.

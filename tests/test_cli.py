@@ -485,6 +485,32 @@ def test_repro_rejects_fewer_than_one_seed(capsys, seeds, target, form):
     assert err == "error: --seeds must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["gen", "--fixture", "one", "--out", "out", "--seed", "-1"],
+            "--seed must be >= 0, got -1",
+        ),
+        (["gen", "--samples", "5", "--out", "out", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["train", "tiny.csv", "--out", "out", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["explain", "tiny.csv", "--out", "out", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["repro", "--fixture", "one", "--seed", "-3"], "--seed must be >= 0, got -3"),
+        (
+            ["repro", "--dataset", "tiny.csv", "--json", "--seed", "-3"],
+            "--seed must be >= 0, got -3",
+        ),
+    ],
+    ids=["gen fixture", "gen", "train", "explain", "repro fixture", "repro dataset"],
+)
+def test_negative_seed_is_an_input_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.csv").write_text("a,b\n1,2\n3,4\n5,7\n")
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_repro_dataset_demands_expected_columns(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n3,4\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iforest_dpg import forest as forest_module
@@ -16,6 +16,7 @@ from iforest_dpg.forest import (
     ScoreThreshold,
     SingleClassError,
     _route,
+    _Streams,
     _transition_counts,
     anomaly_score,
     average_path_normalizer,
@@ -276,24 +277,103 @@ def test_fit_seed_changes_forest(small_data):
     assert trees_of(a) != trees_of(b)
 
 
+def _assert_grows_reference_trees(X, params):
+    model = fit(Dataset(features=X, feature_names=[f"F{i}" for i in range(X.shape[1])]), params)
+    reference = grow_forest(X, params)
+    assert trees_of(model) == reference
+    table = flat(reference)
+    for name in ("roots", "feature", "threshold", "child", "leaf", "size", "depth", "h", "code"):
+        assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
+
+
 @pytest.mark.parametrize("seed", [0, 3, 8])
-@pytest.mark.parametrize("variant", ["plain", "constant column", "duplicate rows"])
+@pytest.mark.parametrize(
+    "variant", ["plain", "constant column", "duplicate rows", "one feature", "n > subsample"]
+)
 def test_fitted_table_matches_recursive_grower(seed, variant):
-    # The iterative grower must make the recursive reference's trees, split
-    # for split; a constant column takes the redraw path.
+    # The lockstep grower must make the recursive reference's trees, split
+    # for split; a constant column takes the redraw path, and one feature
+    # draws no feature index at all.
     data, _ = fixture_one(seed=seed)
     X = data.features.copy()
     if variant == "constant column":
         X[:, 2] = 1.5
     elif variant == "duplicate rows":
         X[100:] = X[:100]
-    params = ForestParams(n_trees=40, seed=seed)
-    model = fit(Dataset(features=X, feature_names=data.feature_names), params)
-    reference = grow_forest(X, params)
-    assert trees_of(model) == reference
-    table = flat(reference)
-    for name in ("roots", "feature", "threshold", "child", "leaf", "size", "depth", "h", "code"):
-        assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
+    elif variant == "one feature":
+        X = X[:, :1]
+    subsample = 64 if variant == "n > subsample" else 256
+    _assert_grows_reference_trees(X, ForestParams(n_trees=40, seed=seed, max_subsample=subsample))
+
+
+def test_growth_groups_do_not_change_the_forest(small_data, monkeypatch):
+    # Trees grow in lockstep groups of at most _GROUP_ROWS subsample rows;
+    # groups of 3 trees, the last one of 2, must grow the same trees.
+    params = ForestParams(n_trees=20, seed=5)
+    whole = trees_of(fit(small_data, params))
+    monkeypatch.setattr(forest_module, "_GROUP_ROWS", 3 * small_data.n_samples)
+    assert trees_of(fit(small_data, params)) == whole == grow_forest(small_data.features, params)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=600),
+    d=st.integers(min_value=1, max_value=8),
+    levels=st.integers(min_value=1, max_value=4),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_trees=st.integers(min_value=1, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=3, d=1, levels=2, data_seed=0, n_trees=25, seed=0)
+@example(n=600, d=8, levels=3, data_seed=1, n_trees=25, seed=2**32 - 1)
+@pytest.mark.filterwarnings("ignore:all samples are identical")
+def test_fit_matches_recursive_grower_on_grid_matrices(n, d, levels, data_seed, n_trees, seed):
+    # Each column takes at most `levels` values on a grid, which forces split
+    # ties, constant columns, duplicate rows and nodes of identical rows.
+    rng = np.random.default_rng(data_seed)
+    X = rng.integers(0, rng.integers(1, levels + 1, size=d), size=(n, d)) / 2.0
+    _assert_grows_reference_trees(X, ForestParams(n_trees=n_trees, seed=seed))
+
+
+def _started_generators(start):
+    """Three generators: fresh, or right after the first subsample draw
+    `choice(300, size, replace=False)` that leaves all three with (or all
+    without) a spare 32-bit half in the bit generator."""
+    seeds = (0, 1, 2**32 + 5)
+    if start == "fresh":
+        return [np.random.default_rng(seed) for seed in seeds]
+    pending = start.endswith("pending")
+    for size in range(300, 0, -1):
+        gens = [np.random.default_rng(seed) for seed in seeds]
+        for g in gens:
+            g.choice(300, size, replace=False)
+        if all(g.bit_generator.state["has_uint32"] == pending for g in gens):
+            return gens
+    raise AssertionError(f"no subsample size leaves has_uint32 == {pending}")
+
+
+@pytest.mark.parametrize("start", ["fresh", "after choice", "after choice, half pending"])
+def test_streams_replay_generator_draws_bit_for_bit(start):
+    # Three streams draw in lockstep, a random subset of them at each step,
+    # interleaving integers(k) and uniform; every value must equal what each
+    # stream's own Generator returns. k = 2**31 + 1 rejects about half of
+    # its 32-bit draws, and k = 1 draws nothing.
+    reference, replayed = _started_generators(start), _started_generators(start)
+    streams = _Streams(replayed)
+    plan = np.random.default_rng(99)
+    for _ in range(400):
+        trees = np.flatnonzero(plan.random(3) < 0.7)
+        if plan.random() < 0.5:
+            k = [1, 2, 3, 6, 20, 2**31 + 1][plan.integers(6)]
+            got = streams.integers(trees, k)
+            want = [reference[t].integers(k) for t in trees]
+            assert got.tolist() == want
+        else:
+            lo = plan.normal(size=len(trees)) * 10.0 ** plan.integers(-3, 4)
+            hi = lo + plan.exponential(size=len(trees))
+            got = streams.uniform(trees, lo, hi)
+            want = np.array([reference[t].uniform(a, b) for t, a, b in zip(trees, lo, hi)])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_tree_structure_bounds(small_model):
@@ -413,6 +493,15 @@ def test_params_validation():
         ForestParams(label_rule=Contamination(0.6))
     with pytest.raises(ValueError, match="finite"):
         ForestParams(label_rule=ScoreThreshold(math.inf))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ForestParams(seed=-1)
+
+
+def test_split_range_that_overflows_is_a_value_error():
+    # max - min of this column is inf: no uniform split value can be drawn.
+    data = Dataset(features=np.array([[-1e308], [1e308], [0.0]]), feature_names=["a"])
+    with pytest.raises(ValueError, match="too wide to split"):
+        fit(data, ForestParams(n_trees=3))
 
 
 def test_dataset_validation():
