@@ -21,6 +21,7 @@ import json
 import math
 import platform
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
@@ -354,15 +355,9 @@ def _tree_from_dict(
     return feature, split, right, size
 
 
-def model_to_dict(model: ForestModel) -> dict[str, Any]:
+def _model_head(model: ForestModel) -> dict[str, Any]:
+    """model.json's fields ahead of the trees."""
     p = model.params
-    forest = model.forest
-    feature = np.where(forest.leaf, -1, forest.feature)
-    split = np.where(forest.leaf, 0.0, forest.threshold)
-    bounds = [*forest.roots.tolist(), forest.n_nodes]
-    # Child indices back to tree-local ones.
-    tree_start = np.repeat(forest.roots, np.diff(bounds))
-    right = np.where(forest.leaf, -1, forest.child[1::2] - tree_start)
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "params": {
@@ -374,17 +369,32 @@ def model_to_dict(model: ForestModel) -> dict[str, Any]:
         },
         "n_train": model.n_train,
         "cutoff": model.cutoff,
-        "trees": [
-            {
-                "feature": feature[a:b].tolist(),
-                "split": split[a:b].tolist(),
-                "right": right[a:b].tolist(),
-                "size": forest.size[a:b].tolist(),
-            }
-            for a, b in zip(bounds, bounds[1:])
-        ],
-        "scores": [float(s) for s in model.scores],
-        "labels": [str(l) for l in model.labels],
+    }
+
+
+def _tree_dicts(forest: FlatForest) -> Iterator[dict[str, list]]:
+    """Each tree's preorder arrays, as model.json stores them."""
+    feature = np.where(forest.leaf, -1, forest.feature)
+    split = np.where(forest.leaf, 0.0, forest.threshold)
+    bounds = [*forest.roots.tolist(), forest.n_nodes]
+    # Child indices back to tree-local ones.
+    tree_start = np.repeat(forest.roots, np.diff(bounds))
+    right = np.where(forest.leaf, -1, forest.child[1::2] - tree_start)
+    for a, b in zip(bounds, bounds[1:]):
+        yield {
+            "feature": feature[a:b].tolist(),
+            "split": split[a:b].tolist(),
+            "right": right[a:b].tolist(),
+            "size": forest.size[a:b].tolist(),
+        }
+
+
+def model_to_dict(model: ForestModel) -> dict[str, Any]:
+    return {
+        **_model_head(model),
+        "trees": list(_tree_dicts(model.forest)),
+        "scores": model.scores.tolist(),
+        "labels": model.labels.tolist(),
     }
 
 
@@ -444,13 +454,43 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         raise _malformed(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _model_json(model_dict: dict[str, Any]) -> str:
-    """model.json's text: one compact line, the only JSON document not indented."""
-    return json.dumps(model_dict, separators=(",", ":")) + "\n"
+def _compact(obj: Any) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# Training rows per piece of model.json's `scores` and `labels`.
+_ROWS_PER_PIECE = 1 << 10
+
+
+def _model_json_pieces(model: ForestModel) -> Iterator[str]:
+    """model.json's text, one compact line, in pieces: the head, each tree,
+    then the scores and labels `_ROWS_PER_PIECE` at a time. Joined, the
+    pieces are `json.dumps(model_to_dict(model))` with compact separators
+    plus a newline; the only JSON document not indented."""
+    yield _compact(_model_head(model))[:-1] + ',"trees":['
+    for i, tree in enumerate(_tree_dicts(model.forest)):
+        yield ("," if i else "") + _compact(tree)
+    for key, values in (("scores", model.scores), ("labels", model.labels)):
+        yield f'],"{key}":['
+        for start in range(0, len(values), _ROWS_PER_PIECE):
+            piece = _compact(values[start : start + _ROWS_PER_PIECE].tolist())[1:-1]
+            yield ("," if start else "") + piece
+    yield "]}\n"
+
+
+def _write_model_json(path: Path, model: ForestModel) -> str:
+    """Write model.json piece by piece; return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in _model_json_pieces(model):
+            data = piece.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def save_model(path: str | Path, model: ForestModel) -> None:
-    Path(path).write_text(_model_json(model_to_dict(model)), encoding="utf-8")
+    _write_model_json(Path(path), model)
 
 
 def load_model(path: str | Path) -> ForestModel:
@@ -626,8 +666,13 @@ def export_dot(
 # Explanation bundle
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256_file(path: Path) -> str:
+    """sha256 of a file, read 1 MB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_explanation_bundle(
@@ -640,45 +685,48 @@ def write_explanation_bundle(
     """Write model.json, graph.json, iop_report.json, graph.dot, iop_table.txt
     and a manifest.json recording versions, seed, params, and content hashes.
 
-    Returns the manifest. Nothing here depends on wall-clock time, so a rerun
-    with the same inputs reproduces every file byte for byte.
+    model.json is streamed and hashed as it is written; every other file is
+    encoded once. Returns the manifest. Nothing here depends on wall-clock
+    time, so a rerun with the same inputs reproduces every file byte for byte.
     """
     out_dir = Path(out_dir)
-    model_dict = model_to_dict(model)
-    contents: dict[str, str] = {
-        "model.json": _model_json(model_dict),
-        "graph.json": json.dumps(graph_to_dict(graph, report), indent=2) + "\n",
-        "iop_report.json": rank_report(report, format="json"),
-        "graph.dot": export_dot(graph, report),
-        "iop_table.txt": rank_report(report, format="table"),
+    encoded: dict[str, bytes] = {
+        name: text.encode("utf-8")
+        for name, text in (
+            ("graph.json", json.dumps(graph_to_dict(graph, report), indent=2) + "\n"),
+            ("iop_report.json", rank_report(report, format="json")),
+            ("graph.dot", export_dot(graph, report)),
+            ("iop_table.txt", rank_report(report, format="table")),
+        )
     }
 
     input_info: dict[str, Any] = {"path": None, "sha256": None}
     if input_path is not None:
         input_info["path"] = str(input_path)
-        input_info["sha256"] = _sha256_bytes(Path(input_path).read_bytes())
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "generator": "iforest-dpg",
-        "versions": {
-            "package": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "seed": model.params.seed,
-        "params": model_dict["params"],
-        "input": input_info,
-        "files": {
-            name: _sha256_bytes(text.encode("utf-8")) for name, text in contents.items()
-        },
-    }
-    contents["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+        input_info["sha256"] = _sha256_file(Path(input_path))
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in contents.items():
-            (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+        hashes = {"model.json": _write_model_json(out_dir / "model.json", model)}
+        for name, data in encoded.items():
+            (out_dir / name).write_bytes(data)
+            hashes[name] = hashlib.sha256(data).hexdigest()
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "generator": "iforest-dpg",
+            "versions": {
+                "package": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "seed": model.params.seed,
+            "params": _model_head(model)["params"],
+            "input": input_info,
+            "files": hashes,
+        }
+        (out_dir / "manifest.json").write_bytes(
+            (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+        )
     except OSError as exc:
         raise OSError(
             f"cannot write explanation bundle to directory '{out_dir}': {exc}"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iforest_dpg import forest as forest_module
-from iforest_dpg.dpg import GT
+from iforest_dpg.dpg import GT, build_model_graph
 from iforest_dpg.forest import (
     C1,
     OUTLIER,
@@ -15,6 +17,7 @@ from iforest_dpg.forest import (
     ForestParams,
     ScoreThreshold,
     SingleClassError,
+    _LevelTable,
     _route,
     _Streams,
     _transition_counts,
@@ -115,9 +118,14 @@ def test_anomaly_score_strictly_decreasing(lo, gap, n):
 _TOY_TREE = Tree(feature=[0, -1, -1], split=[0.5, 0.0, 0.0], right=[2, -1, -1], size=[0, 3, 1])
 
 
+def _leaves(forest, X):
+    """`_route` through the level table of `forest`."""
+    return _route(_LevelTable(forest), X)
+
+
 def _path_length(x, leaf_adjustment):
     forest = flat([_TOY_TREE], leaf_adjustment)
-    return forest.h[_route(forest, np.array([x]))[0, 0]]
+    return forest.h[_leaves(forest, np.array([x]))[0, 0]]
 
 
 def test_path_length_with_and_without_adjustment():
@@ -139,10 +147,21 @@ def test_boundary_value_routes_left():
 # routing kernel
 
 
+def _chain(depth, feature):
+    """A tree `depth` splits deep down its right spine: node 2k splits on
+    `feature` at k, its left child 2k + 1 is a one-row leaf."""
+    one_row_leaf = (-1, 0.0, -1, 1)
+    nodes = [n for k in range(depth) for n in ((feature, float(k), 2 * k + 2, 0), one_row_leaf)]
+    return Tree(*map(list, zip(*nodes, one_row_leaf)))
+
+
 def test_route_matches_object_walk_on_edge_cases():
-    # Every row but row 4 sits exactly on a split value, which routes left;
-    # the second tree is a single leaf, so its routes are SOURCE -> END; the
-    # third splits twice on one feature, a self-loop transition.
+    # Every row but rows 4, 6 and 7 sits exactly on a split value, which
+    # routes left; a single-leaf tree's routes are SOURCE -> END; the third
+    # tree splits twice on one feature, a self-loop transition. The other
+    # forests mix a single leaf with a tree at the depth cap of a 256-row
+    # subsample, which the last two rows reach, and hold only leaves.
+    leaf = Tree(feature=[-1], split=[0.0], right=[-1], size=[4])
     trees = [
         Tree(
             feature=[0, 1, -1, -1, -1],
@@ -150,7 +169,7 @@ def test_route_matches_object_walk_on_edge_cases():
             right=[4, 3, -1, -1, -1],
             size=[0, 0, 1, 2, 3],
         ),
-        Tree(feature=[-1], split=[0.0], right=[-1], size=[4]),
+        leaf,
         Tree(
             feature=[1, -1, 1, -1, -1],
             split=[2.0, 0.0, 3.0, 0.0, 0.0],
@@ -158,28 +177,39 @@ def test_route_matches_object_walk_on_edge_cases():
             size=[0, 1, 0, 2, 1],
         ),
     ]
+    deep = _chain(max_tree_depth(256), 1)
     X = np.array(
-        [[0.5, -1.0], [0.5, 0.0], [0.9, 2.0], [0.1, 3.0], [0.2, 3.5], [0.5, 2.0]]
+        [[0.5, -1.0], [0.5, 0.0], [0.9, 2.0], [0.1, 3.0], [0.2, 3.5], [0.5, 2.0],
+         [0.3, 6.5], [0.3, 9.0]]
     )
     m = 2 * X.shape[1] + 2
     source, end = m - 2, m - 1
-    for adjust in (False, True):
-        forest = flat(trees, adjust)
-        leaves = _route(forest, X)
-        assert leaves.shape == (len(trees), len(X))
-        for t, tree in enumerate(trees):
-            for i, x in enumerate(X):
-                leaf = leaves[t, i]
-                assert forest.leaf[leaf]
-                h = float(forest.depth[leaf])
-                if adjust and forest.size[leaf] > 1:
-                    h += average_path_normalizer(int(forest.size[leaf]))
-                assert h == path_length(tree, x, adjust)
-                assert forest.h[leaf] == h
-                assert leaf == forest.roots[t] + route(tree, x)[1]
-    for tree in trees:
+    for forest_trees in (trees, [leaf, deep, trees[0]], [leaf, leaf]):
+        for adjust in (False, True):
+            forest = flat(forest_trees, adjust)
+            leaves = _leaves(forest, X)
+            assert leaves.shape == (len(forest_trees), len(X))
+            for t, tree in enumerate(forest_trees):
+                for i, x in enumerate(X):
+                    leaf_node = leaves[t, i]
+                    assert forest.leaf[leaf_node]
+                    h = float(forest.depth[leaf_node])
+                    if adjust and forest.size[leaf_node] > 1:
+                        h += average_path_normalizer(int(forest.size[leaf_node]))
+                    assert h == path_length(tree, x, adjust)
+                    assert forest.h[leaf_node] == h
+                    assert leaf_node == forest.roots[t] + route(tree, x)[1]
+        empty = np.empty((0, 2))
+        assert _leaves(forest, empty).shape == (len(forest_trees), 0)
+        assert forest_module._mean_paths(forest, empty).shape == (0,)
+        assert not forest_module._leaf_visits(forest, empty).any()
+    assert forest.max_depth == 0
+    assert flat([leaf, deep]).max_depth == max_tree_depth(256)
+    # The last two rows end at the two deepest leaves.
+    assert [route(deep, x)[1] for x in X[-2:]] == [len(deep.feature) - 2, len(deep.feature) - 1]
+    for tree in (*trees, deep):
         single = flat([tree])
-        visits = np.bincount(_route(single, X)[0], minlength=single.n_nodes)
+        visits = np.bincount(_leaves(single, X)[0], minlength=single.n_nodes)
         expected = np.zeros(m * m, dtype=np.int64)
         for x in X:
             codes = [2 * f + (sign == GT) for f, sign, _ in route(tree, x)[0]]
@@ -188,8 +218,7 @@ def test_route_matches_object_walk_on_edge_cases():
                 expected[a * m + b] += 1
         assert np.array_equal(_transition_counts(single, visits, X.shape[1]), expected)
     first = flat(trees[:1])
-    assert first.depth[_route(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
-    assert _route(first, np.empty((0, 2))).shape == (1, 0)
+    assert first.depth[_leaves(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
 
 
 def _stepwise_counts(trees, X, keep):
@@ -220,14 +249,14 @@ def test_transition_counts_match_stepwise_routes(seed):
     forest = model.forest
     trees = trees_of(model)
     cap = model.max_depth
-    visits = np.bincount(_route(forest, X).ravel(), minlength=forest.n_nodes)
+    visits = np.bincount(_leaves(forest, X).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
         _transition_counts(forest, visits, d),
         _stepwise_counts(trees, X, lambda k: True),
     )
     assert np.array_equal(model._train_counts[1], _transition_counts(forest, visits, d))
     subset = X[rng.choice(n, size=17, replace=False)]
-    sub_visits = np.bincount(_route(forest, subset).ravel(), minlength=forest.n_nodes)
+    sub_visits = np.bincount(_leaves(forest, subset).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
         _transition_counts(forest, sub_visits, d),
         _stepwise_counts(trees, subset, lambda k: True),
@@ -246,7 +275,7 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
     # last block of 1 of the 40 rows.
     data, model = small_model
     forest = model.forest
-    leaves = _route(forest, data.features)
+    leaves = _leaves(forest, data.features)
     total = np.zeros(data.n_samples)
     for t in range(forest.n_trees):
         total += forest.h[leaves[t]]
@@ -256,6 +285,70 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
     assert np.array_equal(score_samples(model, data), expected)
     for i in range(data.n_samples):
         assert score_samples(model, data.features[i : i + 1])[0] == expected[i]
+
+
+def _route_on_two_threads(monkeypatch, n_trees):
+    """Make every routing pass use the helper thread, in blocks of 3 rows;
+    return the set of thread idents that `_route` ran on."""
+    monkeypatch.setattr(forest_module, "_THREAD_PAIRS", 0)
+    monkeypatch.setattr(forest_module, "_THREADS", 2)
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 3 * n_trees)
+    threads = set()
+    route_block = forest_module._route
+
+    def recording(table, X):
+        threads.add(threading.get_ident())
+        return route_block(table, X)
+
+    monkeypatch.setattr(forest_module, "_route", recording)
+    return threads
+
+
+def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
+    # Splitting a pass's blocks between the caller and a helper thread must
+    # not change one bit of the scores, the leaf visits or the counts.
+    params = ForestParams(n_trees=25, seed=11, label_rule=Contamination(0.05))
+    serial = fit(small_data, params)
+    serial_visits = forest_module._leaf_visits(serial.forest, small_data.features)
+    serial_graph = build_model_graph(serial, small_data)
+    threads = _route_on_two_threads(monkeypatch, params.n_trees)
+    # Switch threads as often as the interpreter allows, to interleave the
+    # caller's and the helper's blocks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = fit(small_data, params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 2
+    assert np.array_equal(threaded.scores.view(np.int64), serial.scores.view(np.int64))
+    assert np.array_equal(threaded._train_counts[1], serial._train_counts[1])
+    assert np.array_equal(
+        score_samples(threaded, small_data).view(np.int64), serial.scores.view(np.int64)
+    )
+    visits = forest_module._leaf_visits(threaded.forest, small_data.features)
+    assert np.array_equal(visits, serial_visits)
+    graph = build_model_graph(threaded, small_data)
+    assert np.array_equal(graph.c_in, serial_graph.c_in)
+    assert np.array_equal(graph.c_out, serial_graph.c_out)
+
+
+def test_helper_thread_error_is_raised_in_the_caller(small_model, monkeypatch):
+    data, model = small_model
+    _route_on_two_threads(monkeypatch, model.forest.n_trees)
+    route_block = forest_module._route
+    caller = threading.get_ident()
+
+    def failing(table, X):
+        if threading.get_ident() != caller:
+            raise RuntimeError("helper block failed")
+        return route_block(table, X)
+
+    monkeypatch.setattr(forest_module, "_route", failing)
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper block failed"):
+        score_samples(model, data)
+    assert threading.active_count() == running
 
 
 # ---------------------------------------------------------------------------

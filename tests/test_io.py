@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -589,6 +590,28 @@ def test_bundle_rerun_is_byte_identical(tmp_path, small_model):
     write_explanation_bundle(b, model, g, report)
     for name in BUNDLE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_bundle_write_streams_model_json(tmp_path):
+    # The bundle write holds no whole copy of model.json, as text or as
+    # Python lists: its traced peak stays below the file's size. 20 000
+    # training rows make the scores and labels several pieces long.
+    rng = np.random.default_rng(3)
+    data = Dataset(features=rng.normal(size=(20_000, 3)), feature_names=["a", "b", "c"])
+    model = fit(data, ForestParams(n_trees=10, seed=3, label_rule=Contamination(0.01)))
+    g = build_model_graph(model, data)
+    report = score_graph(g)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_explanation_bundle(tmp_path / "bundle", model, g, report)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "bundle" / "model.json").read_bytes()
+    assert text == (json.dumps(model_to_dict(model), separators=(",", ":")) + "\n").encode()
+    assert peak < len(text)
 
 
 def test_bundle_unwritable_target_raises_oserror(tmp_path, small_model):
