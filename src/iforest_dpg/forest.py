@@ -2,13 +2,15 @@
 
 Trees are grown on uniform random subsamples with uniformly random
 feature/value splits. Trees grow in lockstep, one node of each per numpy
-step, straight into preorder arrays; each tree's draws come from its own
-seeded Generator stream, replayed from raw bit-generator words in the order a
-recursive grower would draw them. A fitted forest is one node table of all
-trees (`FlatForest`), the only tree form. Each routing pass lays it out as
-perfect trees, level by level (`_LevelTable`), so a step down a level is
-arithmetic on a slot index, and a large pass routes half its row blocks on a
-second thread; neither changes a score or a count.
+step, popping from flat per-tree stacks; a step only records its nodes, and
+the preorder arrays are filled from those records once the last tree is
+done. Each tree's draws come from its own seeded Generator stream, replayed
+from raw bit-generator words in the order a recursive grower would draw
+them. A fitted forest is one node table of all trees (`FlatForest`), the
+only tree form. Each routing pass lays it out as perfect trees, level by
+level (`_LevelTable`), so a step down a level is arithmetic on a slot index,
+and a large pass routes half its row blocks on a second thread; neither
+changes a score or a count.
 Anomaly scores follow the classic path-length normalization:
 s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
 length in a binary search tree of n points. New rows are labeled by the
@@ -288,35 +290,48 @@ class _Streams:
     `integers(k)` and `uniform(lo, hi)` would return next, so trees may draw
     in lockstep as long as each tree's own draws keep their order. A half word
     left pending in a generator's state is used first; further words come
-    from `random_raw`, which leaves that buffer alone, and are fetched only
+    from `random_raw`, which leaves that buffer alone. Words sit in one flat
+    buffer: `prefetch` words of every tree are fetched at once, and more only
     when a tree has read all it was given.
     """
 
-    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
+    def __init__(self, generators: Sequence[np.random.Generator], prefetch: int = 32) -> None:
         self._bits = [g.bit_generator for g in generators]
         states = [b.state for b in self._bits]
         self._has_half = np.array([s["has_uint32"] for s in states], dtype=bool)
         self._half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
-        self._words = np.empty((len(generators), 0), dtype=np.uint64)
-        self._next = np.zeros(len(generators), dtype=np.intp)
+        # Word j of tree t is at j * n_trees + t; `_read[t]` words are used.
+        self._words = np.empty(0, dtype=np.uint64)
+        self._read = np.zeros(len(generators), dtype=np.intp)
+        self._fetch(prefetch)
+
+    def _fetch(self, more: int) -> None:
+        """Append `more` fresh words of every tree to the buffer."""
+        have = len(self._words)
+        words = np.empty(have + more * len(self._bits), dtype=np.uint64)
+        words[:have] = self._words
+        fresh = words[have:].reshape(more, len(self._bits))
+        for t, bits in enumerate(self._bits):
+            fresh[:, t] = bits.random_raw(more)
+        self._words = words
 
     def _take(self, trees: np.ndarray) -> np.ndarray:
         """The next word of each listed tree; a tree is listed at most once."""
-        at = self._next[trees]
-        have = self._words.shape[1]
-        if at.size and at.max() >= have:
-            more = max(have // 2, 32)
-            fetched = np.stack([b.random_raw(more) for b in self._bits])
-            self._words = np.hstack([self._words, fetched])
-        self._next[trees] = at + 1
-        return self._words[trees, at]
+        read = self._read.take(trees)
+        n_trees = len(self._bits)
+        have = len(self._words) // n_trees
+        if read.size and read.max() >= have:
+            self._fetch(max(have // 2, 32))
+        self._read[trees] = read + 1
+        return self._words.take(read * n_trees + trees)
 
     def _uint32(self, trees: np.ndarray) -> np.ndarray:
-        value = self._half[trees]
-        fresh = ~self._has_half[trees]
-        word = self._take(trees[fresh])
+        value = self._half.take(trees)
+        fresh = ~self._has_half.take(trees)
+        renew = trees[fresh]
+        word = self._take(renew)
         value[fresh] = word & _LOW32
-        self._half[trees[fresh]] = word >> np.uint64(32)
+        self._half[renew] = word >> np.uint64(32)
         self._has_half[trees] = fresh
         return value
 
@@ -327,7 +342,7 @@ class _Streams:
         scale = np.uint64(k)
         reject_below = np.uint64((2**32 - k) % k)
         m = self._uint32(trees) * scale
-        redo = np.flatnonzero((m & _LOW32) < reject_below)
+        redo = ((m & _LOW32) < reject_below).nonzero()[0]
         while redo.size:
             m[redo] = self._uint32(trees[redo]) * scale
             redo = redo[(m[redo] & _LOW32) < reject_below]
@@ -341,9 +356,9 @@ class _Streams:
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the segments [start, start + length), laid end to end,
     and where each segment begins among them."""
-    offsets = np.cumsum(lengths) - lengths
+    offsets = lengths.cumsum() - lengths
     at = np.arange(int(lengths.sum()))
-    at += np.repeat(starts - offsets, lengths)
+    at += (starts - offsets).repeat(lengths)
     return at, offsets
 
 
@@ -359,10 +374,11 @@ def _grow_forest(
 ) -> tuple[list[np.ndarray], ...]:
     """Grow every tree into (feature, split, right, size), one array per tree.
 
-    The arrays are `FlatForest`'s per-tree preorder form. Tree t draws its
-    subsample with `default_rng(seed + t).choice` and its splits from the rest
-    of that stream, in the order a recursive grower would. Consecutive trees
-    grow in lockstep groups of at most `_GROUP_ROWS` subsample rows.
+    The arrays are `FlatForest`'s per-tree preorder form: int32 feature,
+    float64 split, int32 right and int32 size. Tree t draws its subsample
+    with `default_rng(seed + t).choice` and its splits from the rest of that
+    stream, in the order a recursive grower would. Consecutive trees grow in
+    lockstep groups of at most `_GROUP_ROWS` subsample rows.
     """
     per_group = max(1, _GROUP_ROWS // sub_n)
     grown: tuple[list[np.ndarray], ...] = ([], [], [], [])
@@ -379,92 +395,126 @@ def _grow_lockstep(
     """Grow one tree per seed in lockstep, as `_grow_forest` describes.
 
     Each step pops the next node of every tree whose stack is not empty, so
-    node i of each tree is made at step i. A stack entry is (start, end,
-    depth, parent): the node's rows are `order[t, start:end]`, and parent is
-    the node it is the right child of, -1 for a left child. A split
-    partitions its rows in place, left rows first, and pushes the right child
-    under the left one.
+    node i of each tree is made at step i. The stacks are flat: tree t's
+    entry at height h is at t * (depth_cap + 2) + h of four arrays, (start,
+    end, depth, parent): the node's rows are `rows_of[start:end]`, where tree
+    t's subsample takes positions t * sub_n onwards, and parent is the node it
+    is the right child of, -1 for a left child. A split partitions its rows
+    in place, left rows first, and pushes the right child under the left one.
+    The loop only records each step's nodes; the node tables are filled from
+    those records once the last tree is done.
     """
     n, d = X.shape
     n_trees = len(seeds)
+    values = np.ascontiguousarray(X).ravel()
     generators = [np.random.default_rng(seed) for seed in seeds]
-    order = np.stack([g.choice(n, size=sub_n, replace=False) for g in generators])
-    streams = _Streams(generators)
-    rows_of = order.ravel()
-    base = np.arange(n_trees) * sub_n
-    stack = np.zeros((n_trees, depth_cap + 2, 4), dtype=np.intp)
-    stack[:, 0] = (0, sub_n, 0, -1)
-    height = np.ones(n_trees, dtype=np.intp)
-    # Node i of tree t is column i; columns are added as the trees grow.
-    feature = np.empty((n_trees, 0), dtype=np.int32)
-    split = np.empty((n_trees, 0))
-    right = np.empty((n_trees, 0), dtype=np.int32)
-    size = np.empty((n_trees, 0), dtype=np.int32)
-    n_nodes = np.zeros(n_trees, dtype=np.intp)
+    # Each subsample row as the flat offset of its first value.
+    rows_of = np.concatenate([g.choice(n, size=sub_n, replace=False) for g in generators]) * d
+    # About the words a tree reads, and at most 8 * _GROUP_ROWS bytes.
+    streams = _Streams(generators, prefetch=sub_n)
+    width = depth_cap + 2
+    bottom = np.arange(n_trees) * width
+    start, end, depth, parent = (np.zeros(n_trees * width, dtype=np.int32) for _ in range(4))
+    start[bottom] = np.arange(n_trees) * sub_n
+    end[bottom] = start[bottom] + sub_n
+    parent[bottom] = -1
+    # One past each tree's top entry.
+    top = bottom + 1
+    # Sorting a 16-bit key is a radix sort.
+    key_type = np.uint16 if 2 * n_trees <= np.iinfo(np.uint16).max + 1 else np.intp
+    # Per step: the trees that made a node, its row count and parent entry;
+    # the trees that split it, on which feature and value.
+    made: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    parents: list[np.ndarray] = []
+    split_trees: list[np.ndarray] = []
+    split_features: list[np.ndarray] = []
+    split_values: list[np.ndarray] = []
     live = np.arange(n_trees)
     step = 0
-    while live.size:
-        if step == feature.shape[1]:
-            more = max(step // 2, 32)
-            feature, split, right, size = (
-                np.hstack([a, np.full((n_trees, more), fill, dtype=a.dtype)])
-                for a, fill in ((feature, -1), (split, 0.0), (right, -1), (size, 0))
-            )
-        n_nodes[live] = step + 1
-        height[live] -= 1
-        start, end, depth, parent = stack[live, height[live]].T
-        is_right = parent >= 0
-        right[live[is_right], parent[is_right]] = step
-        count = end - start
-        size[live, step] = count
-        can = np.flatnonzero((count > 1) & (depth < depth_cap))
-        trees, lengths = live[can], count[can]
-        f = streams.integers(trees, d)
-        at, offsets = _segments(base[trees] + start[can], lengths)
-        rows = rows_of[at]
-        column = X[rows, np.repeat(f, lengths)]
-        lo = np.minimum.reduceat(column, offsets)
-        hi = np.maximum.reduceat(column, offsets)
-        constant = np.flatnonzero(lo == hi)
-        if constant.size:
-            # Redraw among the features that can still be split; a node of
-            # identical rows stays a leaf.
-            for j in constant:
-                sub = X[rows[offsets[j] : offsets[j] + lengths[j]]]
-                mins, maxs = sub.min(axis=0), sub.max(axis=0)
-                valid = np.flatnonzero(mins < maxs)
-                if valid.size:
-                    f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
-                    lo[j], hi[j] = mins[f[j]], maxs[f[j]]
-            kept = lo < hi
-            can, trees, lengths, f, lo, hi = (
-                a[kept] for a in (can, trees, lengths, f, lo, hi)
-            )
-            at, offsets = _segments(base[trees] + start[can], lengths)
-            rows = rows_of[at]
-            column = X[rows, np.repeat(f, lengths)]
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        while live.size:
+            at_top = top.take(live) - 1
+            top[live] = at_top
+            s, e = start.take(at_top), end.take(at_top)
+            count = e - s
+            made.append(live)
+            counts.append(count)
+            parents.append(parent.take(at_top))
+            can = ((count > 1) & (depth.take(at_top) < depth_cap)).nonzero()[0]
+            trees, lengths, s, e, at_top = live[can], count[can], s[can], e[can], at_top[can]
+            f = streams.integers(trees, d)
+            at, offsets = _segments(s, lengths)
+            rows = rows_of.take(at)
+            column = values.take(rows + f.repeat(lengths))
+            lo = np.minimum.reduceat(column, offsets)
+            hi = np.maximum.reduceat(column, offsets)
+            constant = (lo == hi).nonzero()[0]
+            if constant.size:
+                # Redraw among the features that can still be split; a node
+                # of identical rows stays a leaf.
+                for j in constant:
+                    sub = X[rows[offsets[j] : offsets[j] + lengths[j]] // d]
+                    mins, maxs = sub.min(axis=0), sub.max(axis=0)
+                    valid = np.flatnonzero(mins < maxs)
+                    if valid.size:
+                        f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
+                        lo[j], hi[j] = mins[f[j]], maxs[f[j]]
+                kept = lo < hi
+                trees, lengths, s, e, at_top, f, lo, hi = (
+                    a[kept] for a in (trees, lengths, s, e, at_top, f, lo, hi)
+                )
+                at, offsets = _segments(s, lengths)
+                rows = rows_of.take(at)
+                column = values.take(rows + f.repeat(lengths))
             if np.isinf(hi - lo).any():
                 raise ValueError("a feature's range is too wide to split: max - min overflows")
-        v = streams.uniform(trees, lo, hi)
-        goes_right = column > np.repeat(v, lengths)
-        key = np.repeat(np.arange(0, 2 * len(can), 2), lengths) + goes_right
-        rows_of[at] = rows[np.argsort(key, kind="stable")]
-        s, e = start[can], end[can]
-        mid = e - np.add.reduceat(goes_right, offsets, dtype=np.intp)
-        # Push the right child, then the left one on top of it.
-        top = height[trees]
-        kids = depth[can] + 1
-        stack[trees, top] = np.column_stack((mid, e, kids, np.full(len(can), step)))
-        stack[trees, top + 1] = np.column_stack((s, mid, kids, np.full(len(can), -1)))
-        height[trees] += 2
-        feature[trees, step] = f
-        split[trees, step] = v
-        size[trees, step] = 0
-        live = live[height[live] > 0]
-        step += 1
+            v = streams.uniform(trees, lo, hi)
+            goes_right = column > v.repeat(lengths)
+            key = np.arange(0, 2 * len(trees), 2, dtype=key_type).repeat(lengths)
+            key += goes_right
+            rows_of[at] = rows.take(key.argsort(kind="stable"))
+            mid = e - np.add.reduceat(goes_right, offsets, dtype=np.intp)
+            # The right child takes the popped entry, which already holds its
+            # end; the left one goes on top of it.
+            kids = depth.take(at_top) + 1
+            start[at_top] = mid
+            depth[at_top] = kids
+            parent[at_top] = step
+            above = at_top + 1
+            start[above] = s
+            end[above] = mid
+            depth[above] = kids
+            parent[above] = -1
+            top[trees] = at_top + 2
+            split_trees.append(trees)
+            split_features.append(f)
+            split_values.append(v)
+            live = live[top.take(live) > bottom.take(live)]
+            step += 1
+    # Node i of a tree is made at step i, so a record's node index is its
+    # step; tree t's nodes sit at first[t] onwards in the flat tables.
+    tree = np.concatenate(made)
+    node = np.arange(step).repeat([len(a) for a in made])
+    n_nodes = np.bincount(tree, minlength=n_trees)
+    ends = n_nodes.cumsum()
+    first = ends - n_nodes
+    size = np.empty(len(tree), dtype=np.int32)
+    size[first.take(tree) + node] = np.concatenate(counts)
+    parent_of = np.concatenate(parents)
+    is_right = parent_of >= 0
+    right = np.full(len(tree), -1, dtype=np.int32)
+    right[first.take(tree[is_right]) + parent_of[is_right]] = node[is_right]
+    inner = first.take(np.concatenate(split_trees))
+    inner += np.arange(step).repeat([len(a) for a in split_trees])
+    size[inner] = 0
+    feature = np.full(len(tree), -1, dtype=np.int32)
+    feature[inner] = np.concatenate(split_features)
+    split = np.zeros(len(tree))
+    split[inner] = np.concatenate(split_values)
+    bounds = list(zip(first.tolist(), ends.tolist()))
     return tuple(
-        [a[t, :k].copy() for t, k in enumerate(n_nodes.tolist())]
+        [a[i:j] for i, j in bounds]
         for a in (feature, split, right, size)
     )
 

@@ -373,18 +373,16 @@ def _model_head(model: ForestModel) -> dict[str, Any]:
 
 
 def _tree_dicts(forest: FlatForest) -> Iterator[dict[str, list]]:
-    """Each tree's preorder arrays, as model.json stores them."""
-    feature = np.where(forest.leaf, -1, forest.feature)
-    split = np.where(forest.leaf, 0.0, forest.threshold)
+    """Each tree's preorder arrays, as model.json stores them, sliced from the
+    node table one tree at a time."""
     bounds = [*forest.roots.tolist(), forest.n_nodes]
-    # Child indices back to tree-local ones.
-    tree_start = np.repeat(forest.roots, np.diff(bounds))
-    right = np.where(forest.leaf, -1, forest.child[1::2] - tree_start)
     for a, b in zip(bounds, bounds[1:]):
+        leaf = forest.leaf[a:b]
         yield {
-            "feature": feature[a:b].tolist(),
-            "split": split[a:b].tolist(),
-            "right": right[a:b].tolist(),
+            "feature": np.where(leaf, -1, forest.feature[a:b]).tolist(),
+            "split": np.where(leaf, 0.0, forest.threshold[a:b]).tolist(),
+            # Right children back to tree-local indices.
+            "right": np.where(leaf, -1, forest.child[2 * a + 1 : 2 * b : 2] - a).tolist(),
             "size": forest.size[a:b].tolist(),
         }
 
@@ -667,11 +665,12 @@ def export_dot(
 
 
 def _sha256_file(path: Path) -> str:
-    """sha256 of a file, read 1 MB at a time."""
+    """sha256 of a file, read 1 MB at a time into one reused buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    buffer = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while read := fh.readinto(buffer):
+            digest.update(buffer[:read])
     return digest.hexdigest()
 
 

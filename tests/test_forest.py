@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -377,11 +378,30 @@ def _assert_grows_reference_trees(X, params):
     table = flat(reference)
     for name in ("roots", "feature", "threshold", "child", "leaf", "size", "depth", "h", "code"):
         assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
+    # FlatForest casts what it is given, so the grower's own arrays are
+    # checked too, dtypes included.
+    sub_n = min(params.max_subsample, len(X))
+    grown = forest_module._grow_forest(
+        X, sub_n, max_tree_depth(sub_n), params.n_trees, params.seed
+    )
+    dtypes = (np.int32, np.float64, np.int32, np.int32)
+    for name, column, dtype in zip(Tree._fields, grown, dtypes):
+        assert [a.dtype for a in column] == [np.dtype(dtype)] * params.n_trees, name
+        assert [a.tolist() for a in column] == [getattr(t, name) for t in reference], name
+    return model
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
 @pytest.mark.parametrize(
-    "variant", ["plain", "constant column", "duplicate rows", "one feature", "n > subsample"]
+    "variant",
+    [
+        "plain",
+        "constant column",
+        "duplicate rows",
+        "one feature",
+        "n > subsample",
+        "few distinct rows",
+    ],
 )
 def test_fitted_table_matches_recursive_grower(seed, variant):
     # The lockstep grower must make the recursive reference's trees, split
@@ -395,8 +415,18 @@ def test_fitted_table_matches_recursive_grower(seed, variant):
         X[100:] = X[:100]
     elif variant == "one feature":
         X = X[:, :1]
-    subsample = 64 if variant == "n > subsample" else 256
-    _assert_grows_reference_trees(X, ForestParams(n_trees=40, seed=seed, max_subsample=subsample))
+    elif variant == "few distinct rows":
+        # 171 copies of row 0 and 29 other rows, subsamples of 8: a tree
+        # that draws only copies is a single leaf, done at step 0, while
+        # others split down to the depth cap.
+        X[30:] = X[0]
+    subsample = {"n > subsample": 64, "few distinct rows": 8}.get(variant, 256)
+    params = ForestParams(n_trees=40, seed=seed, max_subsample=subsample)
+    model = _assert_grows_reference_trees(X, params)
+    if variant == "few distinct rows":
+        n_nodes = np.diff([*model.forest.roots.tolist(), model.forest.n_nodes])
+        assert n_nodes.min() == 1
+        assert model.forest.max_depth == max_tree_depth(subsample)
 
 
 def test_growth_groups_do_not_change_the_forest(small_data, monkeypatch):
@@ -595,6 +625,18 @@ def test_split_range_that_overflows_is_a_value_error():
     data = Dataset(features=np.array([[-1e308], [1e308], [0.0]]), feature_names=["a"])
     with pytest.raises(ValueError, match="too wide to split"):
         fit(data, ForestParams(n_trees=3))
+
+
+def test_wide_finite_split_range_grows_without_warnings():
+    # max - min of column 0 is 1.6e308, near the largest double but finite:
+    # growth draws its split values with no overflow and no warning, and
+    # grows the reference trees.
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.uniform(-8e307, 8e307, 60), rng.normal(size=60)])
+    X[:2, 0] = -8e307, 8e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_grows_reference_trees(X, ForestParams(n_trees=20, seed=1))
 
 
 def test_dataset_validation():
