@@ -295,7 +295,7 @@ class _Streams:
     when a tree has read all it was given.
     """
 
-    def __init__(self, generators: Sequence[np.random.Generator], prefetch: int = 32) -> None:
+    def __init__(self, generators: Sequence[np.random.Generator], prefetch: int) -> None:
         self._bits = [g.bit_generator for g in generators]
         states = [b.state for b in self._bits]
         self._has_half = np.array([s["has_uint32"] for s in states], dtype=bool)
@@ -410,7 +410,8 @@ def _grow_lockstep(
     generators = [np.random.default_rng(seed) for seed in seeds]
     # Each subsample row as the flat offset of its first value.
     rows_of = np.concatenate([g.choice(n, size=sub_n, replace=False) for g in generators]) * d
-    # About the words a tree reads, and at most 8 * _GROUP_ROWS bytes.
+    # About the words a tree reads: 8 * n_trees * sub_n bytes, at most
+    # 8 * max(_GROUP_ROWS, sub_n).
     streams = _Streams(generators, prefetch=sub_n)
     width = depth_cap + 2
     bottom = np.arange(n_trees) * width
@@ -420,8 +421,9 @@ def _grow_lockstep(
     parent[bottom] = -1
     # One past each tree's top entry.
     top = bottom + 1
-    # Sorting a 16-bit key is a radix sort.
-    key_type = np.uint16 if 2 * n_trees <= np.iinfo(np.uint16).max + 1 else np.intp
+    # The smallest unsigned key; a group has at most _GROUP_ROWS / 2 trees,
+    # so it is 8 or 16 bits, which numpy's stable sort radix-sorts.
+    key_type = np.min_scalar_type(2 * n_trees - 1)
     # Per step: the trees that made a node, its row count and parent entry;
     # the trees that split it, on which feature and value.
     made: list[np.ndarray] = []

@@ -482,7 +482,7 @@ def test_streams_replay_generator_draws_bit_for_bit(start):
     # stream's own Generator returns. k = 2**31 + 1 rejects about half of
     # its 32-bit draws, and k = 1 draws nothing.
     reference, replayed = _started_generators(start), _started_generators(start)
-    streams = _Streams(replayed)
+    streams = _Streams(replayed, prefetch=32)
     plan = np.random.default_rng(99)
     for _ in range(400):
         trees = np.flatnonzero(plan.random(3) < 0.7)
