@@ -136,7 +136,11 @@ def _add_forest_flags(p: argparse.ArgumentParser) -> None:
         "--contamination",
         type=float,
         default=None,
-        help="label the top ceil(fraction*n) scorers Outlier instead",
+        help=(
+            "label the top ceil(fraction*n) scorers Outlier instead; a product "
+            "within float error of an integer counts as that integer (0.07 of "
+            "100 rows is 7)"
+        ),
     )
 
 

@@ -1,16 +1,18 @@
 """Isolation forest training, scoring, and inlier/outlier labeling.
 
 Trees are grown on uniform random subsamples with uniformly random
-feature/value splits. Trees grow in lockstep, one node of each per numpy
-step, popping from flat per-tree stacks; a step only records its nodes, and
-the preorder arrays are filled from those records once the last tree is
-done. Each tree's draws come from its own seeded Generator stream, replayed
-from raw bit-generator words in the order a recursive grower would draw
-them. A fitted forest is one node table of all trees (`FlatForest`), the
-only tree form. Each routing pass lays it out as perfect trees, level by
+feature/value splits. Trees grow in lockstep, one split of each per numpy
+step, popping from flat per-tree stacks that hold only nodes that may split;
+a step records its nodes, and their preorder positions follow from subtree
+sizes once the last tree is done. Each tree's draws come from its own seeded
+Generator stream, replayed from raw bit-generator words in the order a
+recursive grower would draw them. A fitted forest is one node table of all
+trees (`FlatForest`), the only tree form, in which each node's subtree is a
+range of the table. Each routing pass lays it out as perfect trees, level by
 level (`_LevelTable`), so a step down a level is arithmetic on a slot index,
 and a large pass routes half its row blocks on a second thread; neither
-changes a score or a count.
+changes a score or a count. Transition counts are read off the subtree
+ranges.
 Anomaly scores follow the classic path-length normalization:
 s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
 length in a binary search tree of n points. New rows are labeled by the
@@ -79,7 +81,11 @@ class ScoreThreshold:
 
 @dataclass(frozen=True)
 class Contamination:
-    """Label rule: the ceil(fraction * n) highest-scoring samples are Outliers."""
+    """Label rule: the ceil(fraction * n) highest-scoring samples are Outliers.
+
+    A product within float error of an integer counts as that integer, so
+    0.07 of 100 samples is 7, not 8, and 1/300 of 300 is 1.
+    """
 
     fraction: float
 
@@ -117,12 +123,14 @@ class Dataset:
                 f"feature_names length {len(self.feature_names)} != n_features {d}"
             )
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype="<U7")
-            if self.labels.shape != (n,):
+            # Checked before the cast, which would cut "Outliers" to "Outlier".
+            labels = np.asarray(self.labels)
+            if labels.shape != (n,):
                 raise ValueError("labels length must match n_samples")
-            bad = set(self.labels.tolist()) - {INLIER, OUTLIER}
+            bad = set(labels.tolist()) - {INLIER, OUTLIER}
             if bad:
-                raise ValueError(f"unknown label values: {sorted(bad)}")
+                raise ValueError(f"unknown label values: {sorted(bad, key=repr)}")
+            self.labels = labels.astype("<U7")
 
     @property
     def n_samples(self) -> int:
@@ -163,18 +171,21 @@ class ForestParams:
 class FlatForest:
     """Every tree of a forest in one node table, routed all at once.
 
-    It is built from per-tree preorder arrays, the form `fit` grows and
-    model.json stores, one array per tree in each argument: `feature`, -1 at
-    a leaf; `split`, the split value, unused at a leaf; `right`, the
-    tree-local index of the right child, -1 at a leaf; and `size`, the
-    subsample rows at a leaf, 0 at an internal node. The left child of
-    internal node i is node i + 1, and every child comes after its parent.
+    It is built from the trees' preorder arrays laid end to end, the form
+    `fit` grows and model.json stores, with `n_nodes` counting each tree's
+    nodes: `feature`, -1 at a leaf; `split`, the split value, unused at a
+    leaf; `right`, the tree-local index of the right child, -1 at a leaf;
+    and `size`, the subsample rows at a leaf, 0 at an internal node. The
+    left child of internal node i is node i + 1, and its right child comes
+    after the left child's subtree.
 
-    In the table tree t's nodes start at `roots[t]` and child indices are
-    global. An internal node sends value <= threshold to `child[2*i]` and
-    larger values to `child[2*i + 1]`. A leaf is its own child on both sides,
-    reads column 0 and has threshold +inf, so a row that reached it would go
-    left and stay; routing reads the table through `_LevelTable`.
+    In the table tree t's nodes start at `roots[t]`, and node i's subtree is
+    the nodes [i, end[i]), so the right child of internal node i is
+    end[i + 1]. An internal node sends value <= threshold left and larger
+    values right; a leaf reads column 0 and has threshold +inf. `slot` is
+    each node's place in `_LevelTable`: tree t's root is at t, and the
+    children of the node at slot s are at 2*s + T and 2*s + T + 1 for T
+    trees.
 
     Per node: `depth`, `size`, `h` = depth + c(size) (the path length a leaf
     contributes to a score; c only when `leaf_adjustment`) and `code` =
@@ -183,42 +194,49 @@ class FlatForest:
     """
 
     __slots__ = (
-        "roots", "feature", "threshold", "child", "leaf", "size", "depth",
+        "roots", "feature", "threshold", "leaf", "size", "depth", "end", "slot",
         "h", "code", "max_depth", "width",
     )
 
     def __init__(
         self,
-        feature: Sequence[np.ndarray],
-        split: Sequence[np.ndarray],
-        right: Sequence[np.ndarray],
-        size: Sequence[np.ndarray],
+        feature: np.ndarray,
+        split: np.ndarray,
+        right: np.ndarray,
+        size: np.ndarray,
+        n_nodes: Sequence[int] | np.ndarray,
         leaf_adjustment: bool,
     ) -> None:
-        lengths = [len(f) for f in feature]
-        self.roots = np.cumsum([0, *lengths[:-1]], dtype=np.intp)
-        node = np.arange(sum(lengths))
-        feat = np.concatenate(feature)
-        self.leaf = feat < 0
-        # Routing indexes with `child`, so it is intp; the rest fit int32.
-        child = np.empty((len(node), 2), dtype=np.intp)
-        child[:, 0] = np.where(self.leaf, node, node + 1)
-        child[:, 1] = np.where(
-            self.leaf, node, np.concatenate(right) + np.repeat(self.roots, lengths)
-        )
-        self.child = child.ravel()
-        self.feature = np.where(self.leaf, 0, feat).astype(np.int32)
-        self.threshold = np.where(self.leaf, np.inf, np.concatenate(split))
-        self.size = np.concatenate(size).astype(np.int32)
+        n_nodes = np.asarray(n_nodes, dtype=np.intp)
+        n_trees = len(n_nodes)
+        self.roots = n_nodes.cumsum() - n_nodes
+        self.leaf = np.asarray(feature) < 0
+        self.feature = np.where(self.leaf, 0, feature).astype(np.int32)
+        self.threshold = np.where(self.leaf, np.inf, split)
+        self.size = np.asarray(size).astype(np.int32)
         inner = np.flatnonzero(~self.leaf)
-        self.code = np.full(len(node), -1, dtype=np.int32)
-        self.code[child[inner]] = 2 * self.feature[inner, None] + np.array([0, 1])
-        # Depth one level at a time, from the roots down.
-        self.depth = np.zeros(len(node), dtype=np.int32)
+        # The global index of each node's right child, meaningless at a leaf.
+        right_of = np.repeat(self.roots, n_nodes)
+        right_of += right
+        self.code = np.full(len(self.leaf), -1, dtype=np.int32)
+        self.code[inner + 1] = 2 * self.feature[inner]
+        self.code[right_of[inner]] = self.code[inner + 1] + 1
+        # Depth, subtree end and slot one level at a time, from the roots down.
+        self.depth = np.zeros(len(self.leaf), dtype=np.int32)
+        self.end = np.empty(len(self.leaf), dtype=np.int32)
+        self.end[self.roots] = self.roots + n_nodes
+        self.slot = np.empty(len(self.leaf), dtype=np.int32)
+        self.slot[self.roots] = np.arange(n_trees)
         level, depth = self.roots, 0
         while level.size:
             self.depth[level] = depth
-            level = child[level[~self.leaf[level]]].ravel()
+            at = level[~self.leaf[level]]
+            left, right_child = at + 1, right_of[at]
+            self.end[left] = right_child
+            self.end[right_child] = self.end[at]
+            self.slot[left] = 2 * self.slot[at] + n_trees
+            self.slot[right_child] = self.slot[left] + 1
+            level = np.concatenate([left, right_child])
             depth += 1
         self.h = self.depth.astype(np.float64)
         if leaf_adjustment:
@@ -371,38 +389,48 @@ _GROUP_ROWS = 1 << 16
 
 def _grow_forest(
     X: np.ndarray, sub_n: int, depth_cap: int, n_trees: int, seed: int
-) -> tuple[list[np.ndarray], ...]:
-    """Grow every tree into (feature, split, right, size), one array per tree.
+) -> tuple[np.ndarray, ...]:
+    """Grow every tree into (feature, split, right, size, n_nodes).
 
-    The arrays are `FlatForest`'s per-tree preorder form: int32 feature,
-    float64 split, int32 right and int32 size. Tree t draws its subsample
-    with `default_rng(seed + t).choice` and its splits from the rest of that
+    The first four are `FlatForest`'s flat preorder form, all trees end to
+    end: int32 feature, float64 split, int32 right and int32 size; `n_nodes`
+    counts each tree's nodes. Tree t draws its subsample with
+    `default_rng(seed + t).choice` and its splits from the rest of that
     stream, in the order a recursive grower would. Consecutive trees grow in
     lockstep groups of at most `_GROUP_ROWS` subsample rows.
     """
     per_group = max(1, _GROUP_ROWS // sub_n)
-    grown: tuple[list[np.ndarray], ...] = ([], [], [], [])
-    for first in range(seed, seed + n_trees, per_group):
-        seeds = range(first, min(first + per_group, seed + n_trees))
-        for column, group in zip(grown, _grow_lockstep(X, sub_n, depth_cap, seeds)):
-            column.extend(group)
-    return grown
+    groups = [
+        _grow_lockstep(X, sub_n, depth_cap, range(first, min(first + per_group, seed + n_trees)))
+        for first in range(seed, seed + n_trees, per_group)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*groups))
 
 
 def _grow_lockstep(
     X: np.ndarray, sub_n: int, depth_cap: int, seeds: Sequence[int]
-) -> tuple[list[np.ndarray], ...]:
+) -> tuple[np.ndarray, ...]:
     """Grow one tree per seed in lockstep, as `_grow_forest` describes.
 
-    Each step pops the next node of every tree whose stack is not empty, so
-    node i of each tree is made at step i. The stacks are flat: tree t's
-    entry at height h is at t * (depth_cap + 2) + h of four arrays, (start,
-    end, depth, parent): the node's rows are `rows_of[start:end]`, where tree
-    t's subsample takes positions t * sub_n onwards, and parent is the node it
-    is the right child of, -1 for a left child. A split partitions its rows
-    in place, left rows first, and pushes the right child under the left one.
-    The loop only records each step's nodes; the node tables are filled from
-    those records once the last tree is done.
+    Only split candidates, nodes of more than one row above the depth cap,
+    go on the stacks. Each step pops one candidate of every tree whose stack
+    is not empty, so step i pops each tree's candidate i in preorder, and a
+    fit takes as many steps as the largest tree has internal nodes. A popped
+    node whose rows are all identical draws its redraw and stays a leaf. A
+    split records both children, pushes the right one if it is a candidate,
+    then the left one on top; a child that is not a candidate is a leaf there
+    and then and draws nothing, as in the recursive grower.
+
+    The stacks are flat: tree t's entry at height h is at t * (depth_cap + 1)
+    + h of four arrays, (start, end, depth, node): the node's rows are
+    `rows_of[start:end]`, where tree t's subsample takes positions t * sub_n
+    onwards, and node is its record. A split partitions its rows in place,
+    left rows first. Records are numbered as they are made: tree t's root is
+    t, and split k makes records n_trees + 2k (left) and n_trees + 2k + 1
+    (right). Once the last tree is done, each record's subtree size is
+    summed from the deepest splits up, and its preorder position follows
+    from the roots down: the left child of the node at v is at v + 1, the
+    right child at v + 1 + the left child's subtree size.
     """
     n, d = X.shape
     n_trees = len(seeds)
@@ -413,38 +441,38 @@ def _grow_lockstep(
     # About the words a tree reads: 8 * n_trees * sub_n bytes, at most
     # 8 * max(_GROUP_ROWS, sub_n).
     streams = _Streams(generators, prefetch=sub_n)
-    width = depth_cap + 2
+    # The entries under a popped one have distinct depths from 1 up to its
+    # own, so an entry popped at height h is at a depth k >= h, and its split
+    # writes at most at height h + 1 <= k + 1 <= depth_cap.
+    width = depth_cap + 1
     bottom = np.arange(n_trees) * width
-    start, end, depth, parent = (np.zeros(n_trees * width, dtype=np.int32) for _ in range(4))
+    start, end, depth, node = (np.zeros(n_trees * width, dtype=np.int32) for _ in range(4))
     start[bottom] = np.arange(n_trees) * sub_n
     end[bottom] = start[bottom] + sub_n
-    parent[bottom] = -1
+    node[bottom] = np.arange(n_trees)
     # One past each tree's top entry.
     top = bottom + 1
     # The smallest unsigned key; a group has at most _GROUP_ROWS / 2 trees,
     # so it is 8 or 16 bits, which numpy's stable sort radix-sorts.
     key_type = np.min_scalar_type(2 * n_trees - 1)
-    # Per step: the trees that made a node, its row count and parent entry;
-    # the trees that split it, on which feature and value.
-    made: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    parents: list[np.ndarray] = []
+    # Per step, for each split: its tree, record, depth, feature and value,
+    # and the row counts of its two children.
     split_trees: list[np.ndarray] = []
+    split_nodes: list[np.ndarray] = []
+    split_depths: list[np.ndarray] = []
     split_features: list[np.ndarray] = []
     split_values: list[np.ndarray] = []
+    left_counts: list[np.ndarray] = []
+    right_counts: list[np.ndarray] = []
+    made = n_trees
     live = np.arange(n_trees)
-    step = 0
     with np.errstate(over="ignore"):
         while live.size:
             at_top = top.take(live) - 1
             top[live] = at_top
-            s, e = start.take(at_top), end.take(at_top)
-            count = e - s
-            made.append(live)
-            counts.append(count)
-            parents.append(parent.take(at_top))
-            can = ((count > 1) & (depth.take(at_top) < depth_cap)).nonzero()[0]
-            trees, lengths, s, e, at_top = live[can], count[can], s[can], e[can], at_top[can]
+            trees = live
+            s, e, popped = start.take(at_top), end.take(at_top), node.take(at_top)
+            lengths = e - s
             f = streams.integers(trees, d)
             at, offsets = _segments(s, lengths)
             rows = rows_of.take(at)
@@ -463,8 +491,8 @@ def _grow_lockstep(
                         f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
                         lo[j], hi[j] = mins[f[j]], maxs[f[j]]
                 kept = lo < hi
-                trees, lengths, s, e, at_top, f, lo, hi = (
-                    a[kept] for a in (trees, lengths, s, e, at_top, f, lo, hi)
+                trees, lengths, s, e, popped, at_top, f, lo, hi = (
+                    a[kept] for a in (trees, lengths, s, e, popped, at_top, f, lo, hi)
                 )
                 at, offsets = _segments(s, lengths)
                 rows = rows_of.take(at)
@@ -476,49 +504,65 @@ def _grow_lockstep(
             key = np.arange(0, 2 * len(trees), 2, dtype=key_type).repeat(lengths)
             key += goes_right
             rows_of[at] = rows.take(key.argsort(kind="stable"))
-            mid = e - np.add.reduceat(goes_right, offsets, dtype=np.intp)
-            # The right child takes the popped entry, which already holds its
-            # end; the left one goes on top of it.
+            mid = e - np.add.reduceat(goes_right, offsets, dtype=np.int32)
             kids = depth.take(at_top) + 1
+            left = np.arange(made, made + 2 * len(trees), 2, dtype=np.int32)
+            made += 2 * len(trees)
+            left_n, right_n = mid - s, e - mid
+            # The right child takes the popped entry, which already holds its
+            # end, and the left one goes above it; either is kept only if it
+            # is a candidate, else the next write or the top leaves it out.
+            above = kids < depth_cap
+            push_right = above & (right_n > 1)
+            push_left = above & (left_n > 1)
             start[at_top] = mid
             depth[at_top] = kids
-            parent[at_top] = step
-            above = at_top + 1
-            start[above] = s
-            end[above] = mid
-            depth[above] = kids
-            parent[above] = -1
-            top[trees] = at_top + 2
+            node[at_top] = left + 1
+            at_top += push_right
+            start[at_top] = s
+            end[at_top] = mid
+            depth[at_top] = kids
+            node[at_top] = left
+            top[trees] = at_top + push_left
             split_trees.append(trees)
+            split_nodes.append(popped)
+            split_depths.append(kids)
             split_features.append(f)
             split_values.append(v)
+            left_counts.append(left_n)
+            right_counts.append(right_n)
             live = live[top.take(live) > bottom.take(live)]
-            step += 1
-    # Node i of a tree is made at step i, so a record's node index is its
-    # step; tree t's nodes sit at first[t] onwards in the flat tables.
-    tree = np.concatenate(made)
-    node = np.arange(step).repeat([len(a) for a in made])
-    n_nodes = np.bincount(tree, minlength=n_trees)
-    ends = n_nodes.cumsum()
-    first = ends - n_nodes
-    size = np.empty(len(tree), dtype=np.int32)
-    size[first.take(tree) + node] = np.concatenate(counts)
-    parent_of = np.concatenate(parents)
-    is_right = parent_of >= 0
-    right = np.full(len(tree), -1, dtype=np.int32)
-    right[first.take(tree[is_right]) + parent_of[is_right]] = node[is_right]
-    inner = first.take(np.concatenate(split_trees))
-    inner += np.arange(step).repeat([len(a) for a in split_trees])
-    size[inner] = 0
-    feature = np.full(len(tree), -1, dtype=np.int32)
-    feature[inner] = np.concatenate(split_features)
-    split = np.zeros(len(tree))
-    split[inner] = np.concatenate(split_values)
-    bounds = list(zip(first.tolist(), ends.tolist()))
-    return tuple(
-        [a[i:j] for i, j in bounds]
-        for a in (feature, split, right, size)
-    )
+    # Each record's subtree size, from the deepest splits up, then its
+    # preorder position, from the roots down; tree t's root is record t.
+    tree = np.concatenate(split_trees)
+    inner = np.concatenate(split_nodes)
+    level = np.concatenate(split_depths)
+    left = np.arange(n_trees, made, 2, dtype=np.int32)
+    by_level = [np.flatnonzero(level == k) for k in range(1, depth_cap + 1)]
+    subtree = np.ones(made, dtype=np.int32)
+    for k in reversed(by_level):
+        subtree[inner[k]] = subtree[left[k]] + subtree[left[k] + 1] + 1
+    n_nodes = subtree[:n_trees]
+    position = np.empty(made, dtype=np.int32)
+    position[:n_trees] = n_nodes.cumsum() - n_nodes
+    for k in by_level:
+        kid = left[k]
+        position[kid] = position[inner[k]] + 1
+        position[kid + 1] = position[kid] + subtree[kid]
+    size = np.empty(made, dtype=np.int32)
+    size[position[:n_trees]] = sub_n
+    size[position[n_trees::2]] = np.concatenate(left_counts)
+    size[position[n_trees + 1 :: 2]] = np.concatenate(right_counts)
+    at = position.take(inner)
+    size[at] = 0
+    feature = np.full(made, -1, dtype=np.int32)
+    feature[at] = np.concatenate(split_features)
+    split = np.zeros(made)
+    split[at] = np.concatenate(split_values)
+    # Right children as tree-local indices.
+    right = np.full(made, -1, dtype=np.int32)
+    right[at] = position.take(left + 1) - position.take(tree)
+    return feature, split, right, size, n_nodes
 
 
 def fit(data: Dataset, params: ForestParams) -> ForestModel:
@@ -616,24 +660,15 @@ class _LevelTable:
         self.n_trees, self.levels = n_trees, levels
         self.feature = np.zeros(n_trees * ((1 << levels) - 1), dtype=np.int32)
         self.threshold = np.full(len(self.feature), np.inf)
-        # Each node's slot, filled in from the roots down one level at a time.
-        slot = np.empty(forest.n_nodes, dtype=np.intp)
-        slot[forest.roots] = np.arange(n_trees)
-        left_child, right_child = forest.child[0::2], forest.child[1::2]
-        inner = ~forest.leaf
-        for level in range(levels):
-            at = np.flatnonzero((forest.depth == level) & inner)
-            here = slot[at]
-            self.feature[here] = forest.feature[at]
-            self.threshold[here] = forest.threshold[at]
-            left = 2 * here + n_trees
-            slot[left_child[at]] = left
-            slot[right_child[at]] = left + 1
+        inner = np.flatnonzero(~forest.leaf)
+        here = forest.slot[inner]
+        self.feature[here] = forest.feature[inner]
+        self.threshold[here] = forest.threshold[inner]
         # A leaf ends where k left steps, slot -> 2*slot + T, lead from it:
         # at 2**k * slot + T*(2**k - 1), k levels below the leaf.
         leaf = np.flatnonzero(forest.leaf)
         below = (levels - forest.depth[leaf]).astype(np.intp)
-        end = (slot[leaf] << below) + n_trees * ((1 << below) - 1)
+        end = (forest.slot[leaf].astype(np.intp) << below) + n_trees * ((1 << below) - 1)
         self.leaf = np.zeros(n_trees << levels, dtype=np.int32)
         self.leaf[end - n_trees * ((1 << levels) - 1)] = leaf
 
@@ -740,29 +775,26 @@ def _transition_counts(
 ) -> np.ndarray:
     """Transition counts (int64, length M*M) of the routes that end as `visits` says.
 
-    `visits[j]` is the number of routes that end at leaf j. Counting is in
-    integers, so the result does not depend on the order of trees or rows.
+    `visits[j]` is the number of routes that end at leaf j. The routes
+    through a node are those that end in its subtree [i, end[i]), a
+    difference of two prefix sums. Counting is in integers, so the result
+    does not depend on the order of trees or rows.
     """
     m = _n_codes(n_features)
     source, end = m - 2, m - 1
-    kids_of = forest.child.reshape(-1, 2)
-    # Routes through each node, filled in from the deepest level up, one
-    # level at a time so the temporaries stay small.
-    through = np.array(visits, dtype=np.int64)
+    ended = np.zeros(forest.n_nodes + 1, dtype=np.int64)
+    np.cumsum(visits, out=ended[1:])
+    through = ended.take(forest.end) - ended[:-1]
+    into = forest.code.astype(np.intp)
+    into[into < 0] = source
     counts = np.zeros(m * m, dtype=np.int64)
-    for level in range(forest.max_depth, -1, -1):
-        at = np.flatnonzero(forest.depth == level)
-        into = forest.code[at].astype(np.intp)
-        into[into < 0] = source
-        leaf = forest.leaf[at]
-        # A route at a leaf steps on to END; a route through an internal
-        # node steps on to the code of the child it went to.
-        np.add.at(counts, into[leaf] * m + end, through[at[leaf]])
-        inner = at[~leaf]
-        kids = kids_of[inner]
-        through[inner] = through[kids].sum(axis=1)
-        steps = 2 * forest.feature[inner, None] + np.array([0, 1])
-        np.add.at(counts, into[~leaf, None] * m + steps, through[kids])
+    # A route at a leaf steps on to END; a route through an internal node
+    # steps on to the code of the child it went to, i + 1 or end[i + 1].
+    leaf = forest.leaf
+    np.add.at(counts, into[leaf] * m + end, through[leaf])
+    inner = np.flatnonzero(~leaf)
+    kids = np.concatenate([inner + 1, forest.end.take(inner + 1)])
+    np.add.at(counts, np.tile(into.take(inner) * m, 2) + into.take(kids), through.take(kids))
     return counts
 
 
@@ -820,6 +852,21 @@ def score_samples(model: ForestModel, data: Dataset | np.ndarray) -> np.ndarray:
     )
 
 
+def _outlier_count(fraction: float, n: int) -> int:
+    """ceil(fraction * n), with a product within float error of an integer
+    taken as that integer.
+
+    0.07 * 100 is 7.000000000000001 in floats, but 0.07 of 100 is 7; the
+    tolerance also keeps (1/300) * 300 at 1, where the decimal 1/300 prints
+    as rounds up.
+    """
+    x = float(fraction) * n
+    r = round(x)
+    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
+        return r
+    return math.ceil(x)
+
+
 def label_scores(
     scores: np.ndarray, rule: ScoreThreshold | Contamination
 ) -> np.ndarray:
@@ -828,7 +875,7 @@ def label_scores(
     if isinstance(rule, ScoreThreshold):
         labels[scores >= rule.threshold] = OUTLIER
         return labels
-    k = math.ceil(rule.fraction * n)
+    k = _outlier_count(rule.fraction, n)
     if k == 0:
         raise SingleClassError("no outliers detected; DPG weighting undefined")
     # Stable sort on -scores: score ties resolve to the lower sample index.

@@ -323,7 +323,8 @@ def _tree_from_dict(
     Leaves have feature -1, right -1 and size >= 1, the sizes summing to the
     subsample size; internal nodes have a feature >= 0, a finite split, size
     0, and a right child after their left child i + 1 and inside the tree.
-    Every node but the root is the child of exactly one node.
+    Every node but the root is the child of exactly one node. That the nodes
+    are in preorder is checked on the node table.
     """
     feature = _array(obj, "feature", (int,), np.int64)
     split = _array(obj, "split", (int, float), np.float64)
@@ -378,11 +379,15 @@ def _tree_dicts(forest: FlatForest) -> Iterator[dict[str, list]]:
     bounds = [*forest.roots.tolist(), forest.n_nodes]
     for a, b in zip(bounds, bounds[1:]):
         leaf = forest.leaf[a:b]
+        # The right child of internal node i ends the left subtree at i + 1;
+        # tree-local, it is end[i + 1] - a.
+        inner = np.flatnonzero(~leaf)
+        right = np.full(b - a, -1, dtype=np.int64)
+        right[inner] = forest.end[a + inner + 1] - a
         yield {
             "feature": np.where(leaf, -1, forest.feature[a:b]).tolist(),
             "split": np.where(leaf, 0.0, forest.threshold[a:b]).tolist(),
-            # Right children back to tree-local indices.
-            "right": np.where(leaf, -1, forest.child[2 * a + 1 : 2 * b : 2] - a).tolist(),
+            "right": right.tolist(),
             "size": forest.size[a:b].tolist(),
         }
 
@@ -431,8 +436,10 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         if len(trees) != params.n_trees:
             raise _malformed(f"{len(trees)} trees for n_trees {params.n_trees}")
         subsample_size = min(params.max_subsample, n_train)
+        columns = list(zip(*(_tree_from_dict(t, subsample_size) for t in trees)))
         forest = FlatForest(
-            *zip(*(_tree_from_dict(t, subsample_size) for t in trees)),
+            *(np.concatenate(column) for column in columns),
+            n_nodes=[len(feature) for feature in columns[0]],
             leaf_adjustment=params.leaf_adjustment,
         )
         if forest.max_depth > max_tree_depth(subsample_size):
@@ -440,6 +447,10 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
                 f"a tree is {forest.max_depth} deep, beyond the depth cap "
                 f"{max_tree_depth(subsample_size)}"
             )
+        # Subtree ranges hold only if each leaf's range is the leaf alone.
+        leaves = np.flatnonzero(forest.leaf)
+        if not np.array_equal(forest.end[leaves], leaves + 1):
+            raise _malformed("a tree's nodes are not in preorder")
         return ForestModel(
             forest=forest,
             params=params,

@@ -376,18 +376,22 @@ def _assert_grows_reference_trees(X, params):
     reference = grow_forest(X, params)
     assert trees_of(model) == reference
     table = flat(reference)
-    for name in ("roots", "feature", "threshold", "child", "leaf", "size", "depth", "h", "code"):
+    names = ("roots", "feature", "threshold", "leaf", "size", "depth", "end", "slot", "h", "code")
+    for name in names:
         assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
-    # FlatForest casts what it is given, so the grower's own arrays are
-    # checked too, dtypes included.
+    # FlatForest casts what it is given, so the grower's own flat arrays are
+    # checked too, dtypes included, tree by tree as `n_nodes` slices them.
     sub_n = min(params.max_subsample, len(X))
-    grown = forest_module._grow_forest(
+    *grown, n_nodes = forest_module._grow_forest(
         X, sub_n, max_tree_depth(sub_n), params.n_trees, params.seed
     )
+    assert n_nodes.tolist() == [len(t.feature) for t in reference]
+    bounds = np.cumsum([0, *n_nodes.tolist()])
     dtypes = (np.int32, np.float64, np.int32, np.int32)
     for name, column, dtype in zip(Tree._fields, grown, dtypes):
-        assert [a.dtype for a in column] == [np.dtype(dtype)] * params.n_trees, name
-        assert [a.tolist() for a in column] == [getattr(t, name) for t in reference], name
+        assert column.dtype == dtype and len(column) == bounds[-1], name
+        trees = [column[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        assert trees == [getattr(t, name) for t in reference], name
     return model
 
 
@@ -401,12 +405,17 @@ def _assert_grows_reference_trees(X, params):
         "one feature",
         "n > subsample",
         "few distinct rows",
+        "subsample 2",
+        "subsample 3",
     ],
 )
 def test_fitted_table_matches_recursive_grower(seed, variant):
     # The lockstep grower must make the recursive reference's trees, split
     # for split; a constant column takes the redraw path, and one feature
-    # draws no feature index at all.
+    # draws no feature index at all. Subsamples of 2 and 3 rows have depth
+    # caps 1 and 2: a root of 2 rows splits into two 1-row leaves at the
+    # cap, one of 3 rows into a 1-row leaf above the cap and a 2-row node
+    # that splits again.
     data, _ = fixture_one(seed=seed)
     X = data.features.copy()
     if variant == "constant column":
@@ -420,13 +429,60 @@ def test_fitted_table_matches_recursive_grower(seed, variant):
         # that draws only copies is a single leaf, done at step 0, while
         # others split down to the depth cap.
         X[30:] = X[0]
-    subsample = {"n > subsample": 64, "few distinct rows": 8}.get(variant, 256)
+    subsample = {
+        "n > subsample": 64, "few distinct rows": 8, "subsample 2": 2, "subsample 3": 3,
+    }.get(variant, 256)
     params = ForestParams(n_trees=40, seed=seed, max_subsample=subsample)
     model = _assert_grows_reference_trees(X, params)
+    n_nodes = np.diff([*model.forest.roots.tolist(), model.forest.n_nodes])
     if variant == "few distinct rows":
-        n_nodes = np.diff([*model.forest.roots.tolist(), model.forest.n_nodes])
         assert n_nodes.min() == 1
         assert model.forest.max_depth == max_tree_depth(subsample)
+    elif variant.startswith("subsample"):
+        assert set(n_nodes.tolist()) == {2 * subsample - 1}
+        assert model.forest.max_depth == subsample - 1
+
+
+def test_node_table_subtree_ends_and_slots_follow_the_walk():
+    # A hand-built forest: a 5-node tree, a single leaf, a tree that splits
+    # twice on one feature, and a chain down the right spine. Every node's
+    # subtree [i, end[i]) ends at the next node, in preorder, at its depth
+    # or above; its slot is T*(2**depth - 1) + t*2**depth + p, where p reads
+    # the turns from the root as binary digits, right = 1.
+    trees = [
+        Tree(
+            feature=[0, 1, -1, -1, -1],
+            split=[0.5, -1.0, 0.0, 0.0, 0.0],
+            right=[4, 3, -1, -1, -1],
+            size=[0, 0, 1, 2, 3],
+        ),
+        Tree(feature=[-1], split=[0.0], right=[-1], size=[4]),
+        Tree(
+            feature=[1, -1, 1, -1, -1],
+            split=[2.0, 0.0, 3.0, 0.0, 0.0],
+            right=[2, -1, 4, -1, -1],
+            size=[0, 1, 0, 2, 1],
+        ),
+        _chain(3, 0),
+    ]
+    forest = flat(trees)
+    n_trees = len(trees)
+    for t, (root, tree) in enumerate(zip(forest.roots.tolist(), trees)):
+        order = list(walk(tree))
+        assert [node for node, _ in order] == list(range(len(tree.feature)))
+        turns = {}
+        last_at_depth = {}
+        for k, (node, depth) in enumerate(order):
+            later = [j for j, (_, deeper) in enumerate(order) if j > k and deeper <= depth]
+            assert forest.end[root + node] == root + (later[0] if later else len(order))
+            parent = last_at_depth.get(depth - 1)
+            turns[node] = 0 if depth == 0 else 2 * turns[parent] + (node != parent + 1)
+            last_at_depth[depth] = node
+            slot = n_trees * ((1 << depth) - 1) + (t << depth) + turns[node]
+            assert forest.slot[root + node] == slot, (t, node)
+            assert forest.depth[root + node] == depth
+    assert forest.end[forest.roots[1]] == forest.roots[1] + 1
+    assert forest.slot[forest.roots].tolist() == list(range(n_trees))
 
 
 def test_growth_groups_do_not_change_the_forest(small_data, monkeypatch):
@@ -589,6 +645,26 @@ def test_contamination_count_is_ceiling():
     assert (labels == "Outlier").sum() == 3  # ceil(2.5)
 
 
+@pytest.mark.parametrize(
+    "fraction, n, count",
+    [
+        # 0.07 * 100 is 7.000000000000001 in floats; 0.07 of 100 rows is 7.
+        (0.07, 100, 7),
+        (0.07, 200, 14),
+        (0.07, 300, 21),
+        (0.07, 101, 8),  # ceil(7.07)
+        # The decimal 1/300 prints as lies above 1/300; 1/300 of 300 is 1.
+        (1 / 300, 300, 1),
+        (1 / 7, 7, 1),
+        (np.float64(0.07), 100, 7),
+        (np.float64(1 / 300), 300, 1),
+    ],
+)
+def test_contamination_count_of_an_exact_product(fraction, n, count):
+    labels = label_scores(np.linspace(0.1, 0.9, n), Contamination(fraction))
+    assert (labels == OUTLIER).sum() == count
+
+
 def test_contamination_zero_outliers_raises():
     with pytest.raises(SingleClassError, match="no outliers detected"):
         label_scores(np.array([0.5, 0.6]), Contamination(0.0))
@@ -654,6 +730,9 @@ def test_dataset_validation():
             feature_names=["a"],
             labels=np.array(["Inlier", "bogus"]),
         )
+    # A label is checked as given, not as cut to the 7 characters of "Outlier".
+    with pytest.raises(ValueError, match="Outliers"):
+        Dataset(features=np.zeros((2, 1)), feature_names=["a"], labels=["Outliers", "Inlier"])
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,27 @@ def test_model_rejects_documents_that_are_not_objects():
             model_from_dict(doc)
 
 
+def test_model_rejects_trees_not_in_preorder(small_model):
+    # Node 0's right child 3 comes before node 1's right child 4, so node 1's
+    # subtree {1, 2, 4} is not a range of the table. Every other check of a
+    # tree passes: each node but the root has one parent, and right children
+    # come after their left siblings.
+    _, model = small_model
+    doc = model_to_dict(model)
+    rows = model.subsample_size
+    doc["trees"][0] = {
+        "feature": [0, 1, -1, -1, -1],
+        "split": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "right": [3, 4, -1, -1, -1],
+        "size": [0, 0, 1, 1, rows - 2],
+    }
+    with pytest.raises(ValueError, match="not in preorder"):
+        model_from_dict(doc)
+    doc["trees"][0]["right"] = [4, 3, -1, -1, -1]
+    doc["trees"][0]["size"] = [0, 0, 1, 1, rows - 2]
+    assert model_from_dict(doc).forest.end[:5].tolist() == [5, 4, 3, 4, 5]
+
+
 def test_model_json_preserves_label_rule_kinds(tmp_path, small_data):
     for rule in (Contamination(0.1), None):
         params = (

@@ -1,10 +1,11 @@
 """Reference trees for the tests: a recursive grower and a recursive walk.
 
-Both work on the per-tree preorder arrays that `FlatForest` is built from and
-model.json stores: `feature` (-1 at a leaf), `split`, `right` (the index of
-the right child, -1 at a leaf) and `size` (rows at a leaf, 0 at an internal
-node); the left child of internal node i is node i + 1. Neither shares code
-with forest.py's iterative grower, node table or routing kernel.
+Both work on the per-tree preorder arrays that model.json stores and, laid
+end to end, `FlatForest` is built from: `feature` (-1 at a leaf), `split`,
+`right` (the index of the right child, -1 at a leaf) and `size` (rows at a
+leaf, 0 at an internal node); the left child of internal node i is node
+i + 1. Neither shares code with forest.py's iterative grower, node table or
+routing kernel.
 """
 
 from typing import NamedTuple
@@ -26,7 +27,8 @@ class Tree(NamedTuple):
 def flat(trees, leaf_adjustment=True) -> FlatForest:
     """The node table of hand-built or reference trees."""
     return FlatForest(
-        *([np.asarray(column) for column in field] for field in zip(*trees)),
+        *(np.concatenate(field) for field in zip(*trees)),
+        n_nodes=[len(tree.feature) for tree in trees],
         leaf_adjustment=leaf_adjustment,
     )
 
