@@ -17,6 +17,7 @@ from iforest_dpg import (
     Contamination,
     Dataset,
     ForestParams,
+    OUTLIER,
     ScoreThreshold,
     build_model_graph,
     fit,
@@ -69,7 +70,7 @@ def main():
         print(f"  probe {row.tolist()} -> score {s:.4f} ({l})")
 
     # 4. explain the training data and write the full bundle
-    graph = build_model_graph(model, data)
+    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
     report = score_graph(graph)
     bundle_dir = work / "explanation"
     manifest = write_explanation_bundle(

@@ -13,6 +13,7 @@ import numpy as np
 from iforest_dpg import (
     Contamination,
     ForestParams,
+    OUTLIER,
     build_model_graph,
     fit,
     fixture_one,
@@ -51,7 +52,7 @@ def main():
     print(f"detected outlier is the injected sample: {ranked[0] == 0}")
 
     section("3. graph: collapse every root-to-leaf trace into predicate edges")
-    graph = build_model_graph(model, data)
+    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
     meta = graph.metadata
     print(
         f"{len(graph.predicates)} predicate nodes, {len(graph.edges)} edges; "

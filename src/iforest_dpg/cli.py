@@ -1,7 +1,8 @@
 """Command-line driver: gen, train, score, explain, repro.
 
 Exit codes: 0 success, 1 input or IO error (including bad flags), 2 pipeline
-semantic error (labeling produced a single class).
+semantic error (labeling produced a single class). Warnings are printed to
+stderr as `warning: <message>` lines and do not change the exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +187,12 @@ def _run_explain(
 ) -> tuple[ForestModel, DpGraph, IopReport]:
     """fit -> label -> graph -> IOP.
 
-    fit routes the training set once for the scores and the transition
-    counts; the graph reuses those counts and routes only the outlier rows again.
+    fit routes the training set once, for the scores and the leaf visits;
+    the graph of the training labels reuses those visits and routes only
+    the outlier rows again.
     """
     model = fit(data, params)
-    graph = build_model_graph(model, data)
+    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
     return model, graph, score_graph(graph)
 
 
@@ -608,14 +611,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except SingleClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except SingleClassError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

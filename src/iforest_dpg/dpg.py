@@ -1,17 +1,15 @@
 """Decision predicate graph construction from a fitted isolation forest.
 
-Every training sample's route through every tree is one labeled trace of the
-split predicates it satisfied. Outlier traces that reach the depth cap are
-pruned, split values are dropped so predicates become (feature, sign) pairs,
-and the surviving transitions are counted per class. The graph is those two
-integer count matrices over predicate nodes, a virtual source and the two
-class terminals; an edge's weight is its counts times the class weights.
-Because the graph holds counts, flow conservation at a node is an integer
-identity, and every flow the IOP-Score reads is one count sum times one
-class weight. The routes are the ones `fit` already walks to score the
-training set, so the builder reuses fit's transition counts. Only the
-outlier rows are routed again, once: their counts, and the counts of the
-traces pruned from them, are read off how many of them reach each leaf.
+Every sample's route through every tree is one trace of the split predicates
+it satisfied, labeled Outlier or Inlier by a mask over the samples. Outlier
+traces that reach the depth cap are pruned, split values are dropped so
+predicates become (feature, sign) pairs, and the surviving transitions are
+counted per class. The graph is those two integer count matrices over
+predicate nodes, a virtual source and the two class terminals; an edge's
+weight is its counts times the class weights. Because the graph holds
+counts, flow conservation at a node is an integer identity, and every flow
+the IOP-Score reads is one count sum times one class weight. The counts are
+read off how many rows of each class reach each leaf.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .forest import (
-    OUTLIER,
     Dataset,
     ForestModel,
     SingleClassError,
     _leaf_visits,
     _n_codes,
     _rule_to_dict,
-    _training_counts,
     _transition_counts,
 )
 
@@ -125,49 +121,61 @@ class DpGraph:
         return [_code_predicate(c) for c in np.flatnonzero(inflow).tolist()]
 
 
-def build_model_graph(model: ForestModel, data: Dataset) -> DpGraph:
-    """The graph's count matrices, without materializing traces.
+def build_model_graph(
+    model: ForestModel,
+    data: Dataset,
+    outlier: np.ndarray,
+    visits: np.ndarray | None = None,
+) -> DpGraph:
+    """The graph of `data`'s routes, row i's traces Outlier iff `outlier[i]`.
 
-    Gives the counts of the step-by-step trace pipeline in
-    tests/graph_reference.py, which the tests check it against. Every route
-    ends at a leaf, so counts are read off how many rows reach each leaf
-    (`forest._transition_counts`). The all-row counts come from fit's routing
-    pass when `data` holds the matrix fit routed, and from one routing pass
-    otherwise; only the outlier rows are routed again, once, and their kept
-    counts are those of their visits to leaves above the depth cap. The
-    inlier counts are the all-row counts minus the outlier rows'.
+    Gives the counts of the trace pipeline in tests/graph_reference.py. Every
+    route ends at a leaf, so counts follow from the leaf visits of each class
+    (`forest._transition_counts`), the outliers' only at leaves above the
+    depth cap. The outlier rows are routed for theirs, and the inlier visits
+    are all rows' `visits` minus those: fit's `model.train_visits` for the
+    training set, else one routing pass over all rows. A mask that is not
+    one bool per row, or visits that cannot be `data`'s, is a ValueError.
     """
-    if data.n_samples != model.n_train:
-        raise ValueError(
-            f"dataset has {data.n_samples} samples but model was trained on {model.n_train}"
-        )
-    weights = class_weights(model.outlier_count(), model.inlier_count())
+    outlier = np.asarray(outlier)
+    if outlier.dtype != bool or outlier.shape != (data.n_samples,):
+        raise ValueError(f"outlier mask must be {data.n_samples} bools, one per sample")
+    n_o = int(np.count_nonzero(outlier))
+    weights = class_weights(n_o, data.n_samples - n_o)
     X = data.features
     d = data.n_features
     depth_cap = model.max_depth
     forest = model.forest
 
-    # Counts use the layout beside forest._route: predicate codes 0..2d-1,
-    # SOURCE = 2d, END = 2d + 1.
-    m = _n_codes(d)
-    visits = _leaf_visits(forest, X[model.labels == OUTLIER])
+    outlier_visits = _leaf_visits(forest, X[outlier])
+    if visits is None:
+        visits = _leaf_visits(forest, X)
+    elif (
+        visits.shape != (forest.n_nodes,)
+        or visits.sum() != forest.n_trees * data.n_samples
+        or (visits < outlier_visits).any()
+    ):
+        raise ValueError(
+            "leaf visits must count one per (tree, row) pair of the dataset, "
+            "at each leaf at least the outlier rows'"
+        )
+    inlier_visits = visits - outlier_visits
     deep = forest.depth >= depth_cap
-    pruned = int(visits[deep].sum())
-    if pruned == forest.n_trees * weights.n_o:
+    pruned = int(outlier_visits[deep].sum())
+    if pruned == forest.n_trees * n_o:
         raise SingleClassError("no Outlier traces remain; graph would be single-class")
-    c_outliers = _transition_counts(forest, visits, d).reshape(m, m)
-    kept = _transition_counts(forest, np.where(deep, 0, visits), d).reshape(m, m)
+    outlier_visits[deep] = 0
 
-    # Graph node order puts SOURCE first and moves each code up by one. END
-    # is the class terminal: INLIER in the inlier counts, OUTLIER in the
-    # outlier counts.
+    # Counts use the layout beside forest._route: predicate codes 0..2d-1,
+    # SOURCE = 2d, END = 2d + 1. Graph node order puts SOURCE first and
+    # moves each code up by one. END is the class terminal: INLIER in the
+    # inlier counts, OUTLIER in the outlier counts.
+    m = _n_codes(d)
     k = 2 * d
-    to_inlier = np.r_[1 : k + 1, 0, k + 1]
-    to_outlier = np.r_[1 : k + 1, 0, k + 2]
-    c_in = np.zeros((k + 3, k + 3), dtype=np.int64)
-    c_in[np.ix_(to_inlier, to_inlier)] = _training_counts(model, X).reshape(m, m) - c_outliers
-    c_out = np.zeros_like(c_in)
-    c_out[np.ix_(to_outlier, to_outlier)] = kept
+    c_in, c_out = (np.zeros((k + 3, k + 3), dtype=np.int64) for _ in range(2))
+    for counts, at, terminal in ((c_in, inlier_visits, k + 1), (c_out, outlier_visits, k + 2)):
+        order = np.r_[1 : k + 1, 0, terminal]
+        counts[np.ix_(order, order)] = _transition_counts(forest, at, d).reshape(m, m)
 
     metadata = {
         "n_trees": model.params.n_trees,

@@ -21,7 +21,6 @@ model's score cutoff, fixed at fit time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import threading
@@ -271,10 +270,9 @@ class ForestModel:
     scores: np.ndarray
     labels: np.ndarray
     cutoff: float
-    # (key of the training matrix, its all-row transition counts) from fit.
-    _train_counts: tuple[tuple, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # How many training rows reach each node, from fit's routing pass; None
+    # on a loaded model, and never saved.
+    train_visits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def subsample_size(self) -> int:
@@ -499,7 +497,10 @@ def _grow_lockstep(
                 column = values.take(rows + f.repeat(lengths))
             if np.isinf(hi - lo).any():
                 raise ValueError("a feature's range is too wide to split: max - min overflows")
+            # A draw that rounds up to hi, a few ulps above lo, would send every
+            # row left; it becomes lo, as in scikit-learn's RandomSplitter.
             v = streams.uniform(trees, lo, hi)
+            v = np.where(v >= hi, lo, v)
             goes_right = column > v.repeat(lengths)
             key = np.arange(0, 2 * len(trees), 2, dtype=key_type).repeat(lengths)
             key += goes_right
@@ -591,7 +592,7 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     )
 
     # The one routing pass over the training set: it yields the scores and the
-    # leaf occupancy the graph builder's transition counts are read from.
+    # leaf visits a graph of the training set can be built from.
     visits = np.zeros(forest.n_nodes, dtype=np.int64)
     scores = anomaly_score(_mean_paths(forest, X, visits), sub_n)
     labels = label_scores(scores, params.label_rule)
@@ -608,7 +609,7 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
         scores=scores,
         labels=labels,
         cutoff=cutoff,
-        _train_counts=(_matrix_key(X), _transition_counts(forest, visits, data.n_features)),
+        train_visits=visits,
     )
 
 
@@ -796,23 +797,6 @@ def _transition_counts(
     kids = np.concatenate([inner + 1, forest.end.take(inner + 1)])
     np.add.at(counts, np.tile(into.take(inner) * m, 2) + into.take(kids), through.take(kids))
     return counts
-
-
-def _matrix_key(X: np.ndarray) -> tuple:
-    """Shape and content digest: names the matrix a count cache was built from."""
-    return X.shape, hashlib.sha256(np.ascontiguousarray(X)).digest()
-
-
-def _training_counts(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """All-row transition counts of X over every tree, summed.
-
-    Served from fit's routing pass when X is the matrix fit routed;
-    otherwise X is routed through the same kernel.
-    """
-    if model._train_counts is not None and model._train_counts[0] == _matrix_key(X):
-        return model._train_counts[1]
-    forest = model.forest
-    return _transition_counts(forest, _leaf_visits(forest, X), X.shape[1])
 
 
 def _mean_paths(

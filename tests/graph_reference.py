@@ -5,7 +5,7 @@ sign, split value) triples per (tree, sample), walked by
 `tree_reference.route`; outlier traces that reach the depth cap dropped;
 split values dropped; then every transition of every trace counted per
 class. It shares no code with `build_model_graph`, which reads the same
-counts off leaf occupancy without materializing traces.
+counts off leaf visits without materializing traces.
 """
 
 from dataclasses import dataclass
@@ -41,16 +41,14 @@ class TraceList:
     class_label: str
 
 
-def traverse(model, data) -> list[TraceList]:
+def traverse(model, data, outlier) -> list[TraceList]:
     """One labeled TraceList per (tree, sample), ordered by (tree, sample).
 
-    `data` must be the training dataset; class labels are copied from the
-    model.
+    Sample s's traces are Outlier traces iff `outlier[s]`, one bool per
+    sample of `data`.
     """
-    if data.n_samples != model.n_train:
-        raise ValueError(
-            f"dataset has {data.n_samples} samples but model was trained on {model.n_train}"
-        )
+    if len(outlier) != data.n_samples:
+        raise ValueError(f"{len(outlier)} labels for {data.n_samples} samples")
     trees = trees_of(model)
     widest = max((f for tree in trees for f in tree.feature), default=-1)
     if widest >= data.n_features:
@@ -60,7 +58,7 @@ def traverse(model, data) -> list[TraceList]:
             sample_index=s,
             tree_index=t,
             predicates=[PredicateTriple(*step) for step in route(tree, x)[0]],
-            class_label=str(model.labels[s]),
+            class_label=OUTLIER if outlier[s] else INLIER,
         )
         for t, tree in enumerate(trees)
         for s, x in enumerate(data.features)

@@ -129,13 +129,14 @@ def test_oracle_equivalence():
                 label_rule=Contamination(0.3),
             ),
         )
-        expected = _oracle_edges(model, data)
+        outlier = model.labels == OUTLIER
+        expected = _oracle_edges(model, data, outlier)
         if expected is None:
             with pytest.raises(SingleClassError):
-                build_model_graph(model, data)
+                build_model_graph(model, data, outlier)
             continue
         built += 1
-        g = build_model_graph(model, data)
+        g = build_model_graph(model, data, outlier)
         assert set(g.edges) == set(expected)
         for key, frac in expected.items():
             rel = abs(g.edges[key] - float(frac)) / float(frac)
@@ -178,7 +179,7 @@ def test_randomized_property_suite():
             assert max(depth for _, depth in walk(tree)) <= cap
 
         try:
-            g = build_model_graph(model, data)
+            g = build_model_graph(model, data, model.labels == OUTLIER)
         except SingleClassError:
             continue
         graphs += 1
@@ -219,7 +220,7 @@ def _fixture_sweep(make, contamination, negative, seeds=20):
             data,
             ForestParams(n_trees=200, seed=seed, label_rule=Contamination(contamination)),
         )
-        report = score_graph(build_model_graph(model, data))
+        report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
         by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
         neg_ok = all(by_id.get(pid, 1.0) < 0 for pid in negative)
         top_ok = _most_negative(by_id, 3) == set(negative)
@@ -298,7 +299,7 @@ def test_annthyroid_sign_rank_stability():
             data,
             ForestParams(n_trees=200, seed=seed, label_rule=Contamination(0.0361)),
         )
-        report = score_graph(build_model_graph(model, data))
+        report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
         by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
         tsh = by_id.get(tsh_gt)
         negatives = {pid for pid, v in by_id.items() if v < 0}

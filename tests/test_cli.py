@@ -408,6 +408,30 @@ def test_single_class_exits_two(tmp_path, capsys, fixture_csv):
     assert "error:" in err
 
 
+def test_warning_is_one_line_and_keeps_the_exit_code(tmp_path, capsys):
+    same = tmp_path / "same.csv"
+    _write_rows(same, [["a", "b"], ["1", "2"], ["1", "2"]])
+    code, stdout, err = run(
+        capsys, "explain", str(same), "--contamination", "0.3", "--out", str(tmp_path / "b")
+    )
+    assert code == 0
+    assert err == "warning: all samples are identical; every tree is a single leaf\n"
+    assert "bundle written to" in stdout
+
+
+def test_model_of_values_an_ulp_apart_can_be_scored(tmp_path, capsys):
+    # 1.0 and the next double: a split value drawn between them can round up
+    # to the larger, which must not leave an empty leaf in model.json.
+    data = tmp_path / "ulp.csv"
+    _write_rows(data, [["a"], *([["1.0"], ["1.0000000000000002"]] * 4)])
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(data), "--trees", "20", "--seed", "0", "--out", str(model))
+    assert (code, err) == (0, "")
+    code, stdout, err = run(capsys, "score", str(data), "--model", str(model), "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(stdout)) == 8
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "train", str(tmp_path / "nope.csv"))
     assert code == 1

@@ -19,16 +19,20 @@ from iforest_dpg.dpg import (
     predicate_label,
 )
 from iforest_dpg.forest import (
+    OUTLIER,
     Contamination,
     Dataset,
     ForestModel,
     ForestParams,
     SingleClassError,
+    _leaf_visits,
     fit,
     max_tree_depth,
+    score_samples,
 )
 from iforest_dpg.io import model_from_dict, model_to_dict
 from iforest_dpg.metrics import score_graph
+from iforest_dpg.synth import fixture_one
 from graph_reference import (
     PredicateTriple,
     TraceList,
@@ -77,7 +81,7 @@ def test_traverse_single_split():
         features=np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.9]]),
         feature_names=["a", "b", "c"],
     )
-    traces = traverse(model, data)
+    traces = traverse(model, data, model.labels == OUTLIER)
     assert len(traces) == 2
     assert traces[0].predicates == [PredicateTriple(2, LE, 0.5)]
     assert traces[0].class_label == "Inlier"
@@ -88,14 +92,14 @@ def test_traverse_single_split():
 def test_traverse_single_leaf_tree():
     model = _manual_model([Tree([-1], [0.0], [-1], [2])], ["Outlier", "Inlier"])
     data = Dataset(features=np.zeros((2, 1)), feature_names=["a"])
-    traces = traverse(model, data)
+    traces = traverse(model, data, model.labels == OUTLIER)
     assert [t.predicates for t in traces] == [[], []]
     assert [t.class_label for t in traces] == ["Outlier", "Inlier"]
 
 
 def test_traverse_trace_count_and_order(small_model):
     data, model = small_model
-    traces = traverse(model, data)
+    traces = traverse(model, data, model.labels == OUTLIER)
     assert len(traces) == model.params.n_trees * data.n_samples
     expected = [
         (t, s) for t in range(model.params.n_trees) for s in range(data.n_samples)
@@ -110,7 +114,7 @@ def test_traverse_rejects_wrong_sample_count(small_model):
     data, model = small_model
     shrunk = Dataset(features=data.features[:-1], feature_names=data.feature_names)
     with pytest.raises(ValueError):
-        traverse(model, shrunk)
+        traverse(model, shrunk, model.labels == OUTLIER)
 
 
 def test_traverse_rejects_narrow_data(small_model):
@@ -119,7 +123,7 @@ def test_traverse_rejects_narrow_data(small_model):
         features=data.features[:, :1], feature_names=data.feature_names[:1]
     )
     with pytest.raises(ValueError):
-        traverse(model, narrow)
+        traverse(model, narrow, model.labels == OUTLIER)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +284,11 @@ def test_build_graph_errors():
 # brute-force oracle: rational-arithmetic transition counting
 
 
-def _oracle_edges(model, data):
-    """Fraction-exact expected edge map, or None when pruning empties a class."""
-    n_o = int((model.labels == "Outlier").sum())
-    n_i = int((model.labels == "Inlier").sum())
+def _oracle_edges(model, data, outlier):
+    """Fraction-exact expected edge map of `data` labeled by the `outlier`
+    mask, or None when pruning empties a class."""
+    n_o = int(sum(outlier))
+    n_i = len(outlier) - n_o
     if n_o == 0 or n_i == 0:
         return None
     total = Fraction(n_o + n_i)
@@ -294,7 +299,7 @@ def _oracle_edges(model, data):
     edges: dict[tuple[str, str], Fraction] = {}
     for tree in trees_of(model):
         for s in range(data.n_samples):
-            label = str(model.labels[s])
+            label = "Outlier" if outlier[s] else "Inlier"
             steps, _ = route(tree, data.features[s])
             if label == "Outlier" and len(steps) >= dmax:
                 continue
@@ -321,6 +326,37 @@ def _oracle_iops(edges):
     }
 
 
+def _assert_matches_oracle(g, expected):
+    """The graph's edges and IOPs are the oracle's; returns how many
+    predicates have a pure-class IOP of exactly +-1."""
+    assert set(g.edges) == set(expected)
+    for key, frac in expected.items():
+        assert g.edges[key] == pytest.approx(float(frac), rel=1e-9)
+    exact = _oracle_iops(expected)
+    report = score_graph(g)
+    assert {predicate_id(e.predicate) for e in report.entries} == set(exact)
+    pure = 0
+    for e in report.entries:
+        iop = exact[predicate_id(e.predicate)]
+        assert abs(Fraction(e.iop) - iop) <= Fraction(4, 2**52)
+        if abs(iop) == 1:
+            assert e.iop == iop
+            pure += 1
+    return pure
+
+
+def _assert_matches_object_route(g, model, data, outlier):
+    """The graph's counts are those of the step-by-step trace pipeline."""
+    dmax = max_tree_depth(model.subsample_size)
+    traces = collapse(prune_deep_outlier_traces(traverse(model, data, outlier), dmax))
+    n_o = int(np.count_nonzero(outlier))
+    staged = build_graph(traces, class_weights(n_o, len(outlier) - n_o), data.n_features)
+    assert np.array_equal(staged.c_in, g.c_in)
+    assert np.array_equal(staged.c_out, g.c_out)
+    assert staged.predicates == g.predicates
+    assert list(staged.edges.items()) == list(g.edges.items())
+
+
 def test_oracle_equivalence_on_random_tiny_instances():
     rng = np.random.default_rng(2024)
     built, pure = 0, 0
@@ -337,69 +373,106 @@ def test_oracle_equivalence_on_random_tiny_instances():
             label_rule=Contamination(0.3),
         )
         model = fit(data, params)
-        expected = _oracle_edges(model, data)
+        outlier = model.labels == OUTLIER
+        expected = _oracle_edges(model, data, outlier)
         if expected is None:
             with pytest.raises(SingleClassError):
-                build_model_graph(model, data)
+                build_model_graph(model, data, outlier, model.train_visits)
             continue
         built += 1
-        g = build_model_graph(model, data)
-        assert set(g.edges) == set(expected)
-        for key, frac in expected.items():
-            assert g.edges[key] == pytest.approx(float(frac), rel=1e-9)
-        exact = _oracle_iops(expected)
-        report = score_graph(g)
-        assert {predicate_id(e.predicate) for e in report.entries} == set(exact)
-        for e in report.entries:
-            iop = exact[predicate_id(e.predicate)]
-            assert abs(Fraction(e.iop) - iop) <= Fraction(4, 2**52)
-            if abs(iop) == 1:
-                assert e.iop == iop
-                pure += 1
+        g = build_model_graph(model, data, outlier, model.train_visits)
+        pure += _assert_matches_oracle(g, expected)
     assert built >= 25, f"only {built}/50 instances produced two-class graphs"
     assert pure > 0, "no pure-class predicate node was exercised"
 
 
 def test_fused_pipeline_matches_object_route(small_model):
     data, model = small_model
-    fused = build_model_graph(model, data)
-    dmax = max_tree_depth(model.subsample_size)
-    traces = collapse(prune_deep_outlier_traces(traverse(model, data), dmax))
-    w = class_weights(model.outlier_count(), model.inlier_count())
-    staged = build_graph(traces, w, data.n_features)
-    assert np.array_equal(staged.c_in, fused.c_in)
-    assert np.array_equal(staged.c_out, fused.c_out)
-    assert staged.predicates == fused.predicates
-    assert list(staged.edges.items()) == list(fused.edges.items())
+    outlier = model.labels == OUTLIER
+    fused = build_model_graph(model, data, outlier, model.train_visits)
+    _assert_matches_object_route(fused, model, data, outlier)
 
 
 def test_graph_from_reloaded_model_matches_fitted(small_model):
-    # The fitted model serves fit's transition counts; a reloaded one has
-    # none and routes the training set itself. Both must give one graph.
+    # The fitted model keeps fit's leaf visits; a reloaded one has none and
+    # routes the training set itself. Both must give one graph.
     data, model = small_model
-    assert model._train_counts is not None
+    assert model.train_visits is not None
     reloaded = model_from_dict(model_to_dict(model))
-    assert reloaded._train_counts is None
-    fresh = build_model_graph(model, data)
-    again = build_model_graph(reloaded, data)
+    assert reloaded.train_visits is None
+    fresh = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
+    again = build_model_graph(reloaded, data, reloaded.labels == OUTLIER)
     assert np.array_equal(again.c_in, fresh.c_in)
     assert np.array_equal(again.c_out, fresh.c_out)
     assert again.metadata == fresh.metadata
 
 
-def test_graph_on_other_data_ignores_cached_counts(small_model):
+def test_graph_with_train_visits_equals_graph_without(small_model):
     data, model = small_model
-    other = Dataset(
-        features=data.features[::-1] * 0.5, feature_names=data.feature_names
+    outlier = model.labels == OUTLIER
+    given = build_model_graph(model, data, outlier, model.train_visits)
+    routed = build_model_graph(model, data, outlier)
+    assert np.array_equal(given.c_in, routed.c_in)
+    assert np.array_equal(given.c_out, routed.c_out)
+    assert given.metadata == routed.metadata
+
+
+def test_mismatched_mask_or_visits_is_a_value_error(small_model):
+    data, model = small_model
+    outlier = model.labels == OUTLIER
+    for mask in (outlier[:-1], outlier.astype(int), outlier[:, None]):
+        with pytest.raises(ValueError, match="outlier mask"):
+            build_model_graph(model, data, mask)
+    # Visits of a matrix with another row count do not sum to T x n.
+    shorter = _leaf_visits(model.forest, data.features[:-1])
+    # Visits that sum to T x n, moved off a leaf some outlier row reaches.
+    moved = model.train_visits.copy()
+    reached = np.flatnonzero(_leaf_visits(model.forest, data.features[outlier]))
+    other = np.flatnonzero(model.forest.leaf & (moved > 0))
+    other = other[other != reached[0]][0]
+    moved[other] += moved[reached[0]]
+    moved[reached[0]] = 0
+    assert moved.sum() == model.train_visits.sum()
+    for visits in (shorter, moved, model.train_visits[:-1]):
+        with pytest.raises(ValueError, match="leaf visits"):
+            build_model_graph(model, data, outlier, visits)
+
+
+def test_reloaded_model_graphs_a_new_batch_by_its_cutoff(small_model):
+    # A saved model explains any batch: the rows it labels Outlier by its
+    # stored cutoff are the outlier traces.
+    data, model = small_model
+    reloaded = model_from_dict(model_to_dict(model))
+    rng = np.random.default_rng(5)
+    batch = Dataset(
+        features=np.vstack([rng.normal(size=(30, 3)), [[5.0, -5.0, 5.0], [-6.0, 0.0, 6.0]]]),
+        feature_names=data.feature_names,
     )
-    uncached = model_from_dict(model_to_dict(model))
-    expected = build_model_graph(uncached, other)
-    assert np.array_equal(build_model_graph(model, other).c_in, expected.c_in)
-    # Overwriting the training matrix in place must not serve its old counts.
-    data.features[:] = other.features
-    rewritten = build_model_graph(model, data)
-    assert np.array_equal(rewritten.c_in, expected.c_in)
-    assert np.array_equal(rewritten.c_out, expected.c_out)
+    outlier = score_samples(reloaded, batch) >= reloaded.cutoff
+    assert 0 < outlier.sum() < batch.n_samples
+    g = build_model_graph(reloaded, batch, outlier)
+    assert g.metadata["n_outliers"] == outlier.sum()
+    assert g.metadata["traces_total"] == model.params.n_trees * batch.n_samples
+    _assert_matches_object_route(g, reloaded, batch, outlier)
+    _assert_matches_oracle(g, _oracle_edges(reloaded, batch, outlier))
+
+
+def test_graph_of_fixture_one_true_labels_matches_oracles():
+    # The graph of the true labels, one injected outlier, on a forest that
+    # labels ten rows Outlier: the mask alone decides the classes.
+    data, _ = fixture_one(seed=7)
+    params = ForestParams(n_trees=30, seed=7, label_rule=Contamination(0.05))
+    model = fit(data, params)
+    truth = data.labels == OUTLIER
+    assert truth.sum() == 1 and model.outlier_count() == 10
+    g = build_model_graph(model, data, truth, model.train_visits)
+    assert (g.metadata["n_outliers"], g.metadata["n_inliers"]) == (1, 199)
+    assert g.weights.w_o == 200.0
+    _assert_matches_object_route(g, model, data, truth)
+    _assert_matches_oracle(g, _oracle_edges(model, data, truth))
+    assert not np.array_equal(
+        g.c_out, build_model_graph(model, data, model.labels == OUTLIER).c_out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +522,17 @@ def _assert_graph_invariants(g, n_features):
 
 def test_graph_invariants_on_small_model(small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     _assert_graph_invariants(g, data.n_features)
 
 
 def test_terminal_inflow_identity(small_model):
     # The terminal counts are the kept traces of each class, exactly.
     data, model = small_model
-    g = build_model_graph(model, data)
+    outlier = model.labels == OUTLIER
+    g = build_model_graph(model, data, outlier)
     dmax = max_tree_depth(model.subsample_size)
-    traces = prune_deep_outlier_traces(traverse(model, data), dmax)
+    traces = prune_deep_outlier_traces(traverse(model, data, outlier), dmax)
     n_out = sum(1 for t in traces if t.class_label == "Outlier")
     n_in = sum(1 for t in traces if t.class_label == "Inlier")
     # One terminal transition per kept trace, and one start from SOURCE.
@@ -484,7 +558,7 @@ def test_graph_invariants_randomized(seed):
         ForestParams(n_trees=8, seed=seed, label_rule=Contamination(0.25)),
     )
     try:
-        g = build_model_graph(model, data)
+        g = build_model_graph(model, data, model.labels == OUTLIER)
     except SingleClassError:
         return
     _assert_graph_invariants(g, d)
@@ -492,7 +566,7 @@ def test_graph_invariants_randomized(seed):
 
 def test_metadata_records_run_configuration(small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     md = g.metadata
     assert md["n_trees"] == model.params.n_trees
     assert md["seed"] == model.params.seed

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -29,6 +30,7 @@ from iforest_dpg.forest import (
     max_tree_depth,
     score_samples,
 )
+from iforest_dpg.io import model_from_dict, model_to_dict
 from iforest_dpg.synth import InjectionSpec, SynthConfig, fixture_one, generate
 from tree_reference import Tree, flat, grow_forest, path_length, route, trees_of, walk
 
@@ -255,7 +257,7 @@ def test_transition_counts_match_stepwise_routes(seed):
         _transition_counts(forest, visits, d),
         _stepwise_counts(trees, X, lambda k: True),
     )
-    assert np.array_equal(model._train_counts[1], _transition_counts(forest, visits, d))
+    assert np.array_equal(model.train_visits, visits)
     subset = X[rng.choice(n, size=17, replace=False)]
     sub_visits = np.bincount(_leaves(forest, subset).ravel(), minlength=forest.n_nodes)
     assert np.array_equal(
@@ -311,7 +313,7 @@ def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
     params = ForestParams(n_trees=25, seed=11, label_rule=Contamination(0.05))
     serial = fit(small_data, params)
     serial_visits = forest_module._leaf_visits(serial.forest, small_data.features)
-    serial_graph = build_model_graph(serial, small_data)
+    serial_graph = build_model_graph(serial, small_data, serial.labels == OUTLIER)
     threads = _route_on_two_threads(monkeypatch, params.n_trees)
     # Switch threads as often as the interpreter allows, to interleave the
     # caller's and the helper's blocks.
@@ -323,13 +325,13 @@ def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
         sys.setswitchinterval(interval)
     assert len(threads) == 2
     assert np.array_equal(threaded.scores.view(np.int64), serial.scores.view(np.int64))
-    assert np.array_equal(threaded._train_counts[1], serial._train_counts[1])
+    assert np.array_equal(threaded.train_visits, serial.train_visits)
     assert np.array_equal(
         score_samples(threaded, small_data).view(np.int64), serial.scores.view(np.int64)
     )
     visits = forest_module._leaf_visits(threaded.forest, small_data.features)
     assert np.array_equal(visits, serial_visits)
-    graph = build_model_graph(threaded, small_data)
+    graph = build_model_graph(threaded, small_data, threaded.labels == OUTLIER)
     assert np.array_equal(graph.c_in, serial_graph.c_in)
     assert np.array_equal(graph.c_out, serial_graph.c_out)
 
@@ -713,6 +715,42 @@ def test_wide_finite_split_range_grows_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_grows_reference_trees(X, ForestParams(n_trees=20, seed=1))
+
+
+def _ulp_steps(X, steps):
+    """X with each cell moved up `steps` ulps, 0 to 3."""
+    for k in range(1, 4):
+        X = np.where(steps >= k, np.nextafter(X, np.inf), X)
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["ulp", "few distinct", "huge"]),
+    n=st.integers(min_value=2, max_value=39),
+    d=st.integers(min_value=1, max_value=3),
+    base=st.sampled_from([1.0, 1e16, -3.5, 1e-300, 5e-324, -8e307]),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@pytest.mark.filterwarnings("ignore:all samples are identical")
+def test_every_fitted_model_loads_and_scores_as_fitted(kind, n, d, base, data_seed, seed):
+    # Columns whose values are a few ulps apart, take few distinct values,
+    # or span most of the double range. A split value drawn between two
+    # adjacent doubles can round up to the larger; it must still leave rows
+    # on both sides, so every leaf has rows and the model survives a
+    # model.json round trip with every score bit for bit.
+    rng = np.random.default_rng(data_seed)
+    if kind == "ulp":
+        X = _ulp_steps(np.full((n, d), base), rng.integers(0, 4, size=(n, d)))
+    elif kind == "few distinct":
+        X = rng.choice(base * rng.uniform(0.5, 1.0, size=3), size=(n, d))
+    else:
+        X = rng.choice([-8e307, -1e300, base, 1e300, 8e307], size=(n, d))
+    model = _assert_grows_reference_trees(X, ForestParams(n_trees=10, seed=seed))
+    assert model.forest.size[model.forest.leaf].min() >= 1
+    reloaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert np.array_equal(score_samples(reloaded, X).view(np.int64), model.scores.view(np.int64))
 
 
 def test_dataset_validation():

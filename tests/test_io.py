@@ -22,7 +22,7 @@ from iforest_dpg.dpg import (
     build_model_graph,
     predicate_id,
 )
-from iforest_dpg.forest import Contamination, Dataset, ForestParams, fit, score_samples
+from iforest_dpg.forest import OUTLIER, Contamination, Dataset, ForestParams, fit, score_samples
 from iforest_dpg.io import (
     IOP_PALETTE,
     DotStyle,
@@ -307,7 +307,7 @@ def test_model_json_is_one_compact_line(tmp_path, small_model):
     save_model(path, model)
     text = path.read_text()
     assert text == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     write_explanation_bundle(tmp_path / "bundle", model, g, score_graph(g))
     assert (tmp_path / "bundle" / "model.json").read_text() == text
     assert (tmp_path / "bundle" / "graph.json").read_text().startswith("{\n  ")
@@ -503,7 +503,7 @@ def test_export_dot_dark_fills_get_white_text():
 
 def test_export_dot_penwidths_bounded_and_monotone(small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     text = export_dot(g, score_graph(g))
     widths = {}
     for line in text.splitlines():
@@ -556,7 +556,7 @@ def test_export_dot_requires_full_report_coverage():
 
 def test_export_dot_deterministic(small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     report = score_graph(g)
     assert export_dot(g, report) == export_dot(g, report)
 
@@ -576,7 +576,7 @@ BUNDLE_FILES = [
 
 def test_bundle_writes_all_files_with_matching_hashes(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     report = score_graph(g)
 
     input_csv = tmp_path / "input.csv"
@@ -604,7 +604,7 @@ def test_bundle_writes_all_files_with_matching_hashes(tmp_path, small_model):
 
 def test_bundle_rerun_is_byte_identical(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     report = score_graph(g)
     a, b = tmp_path / "a", tmp_path / "b"
     write_explanation_bundle(a, model, g, report)
@@ -620,7 +620,7 @@ def test_bundle_write_streams_model_json(tmp_path):
     rng = np.random.default_rng(3)
     data = Dataset(features=rng.normal(size=(20_000, 3)), feature_names=["a", "b", "c"])
     model = fit(data, ForestParams(n_trees=10, seed=3, label_rule=Contamination(0.01)))
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     report = score_graph(g)
     tracemalloc.start()
     try:
@@ -637,7 +637,7 @@ def test_bundle_write_streams_model_json(tmp_path):
 
 def test_bundle_unwritable_target_raises_oserror(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data)
+    g = build_model_graph(model, data, model.labels == OUTLIER)
     report = score_graph(g)
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory\n")

@@ -62,6 +62,11 @@ def grow(sub, depth_cap, rng) -> Tree:
             col = subset[:, f]
             lo, hi = mins[f], maxs[f]
         v = float(rng.uniform(lo, hi))
+        if v >= hi:
+            # The draw rounded up to the maximum, which would send every row
+            # left; it becomes the minimum, as in scikit-learn's
+            # RandomSplitter.
+            v = float(lo)
         mask = col <= v
         tree.feature[i], tree.split[i], tree.size[i] = f, v, 0
         node(subset[mask], depth + 1)
