@@ -196,6 +196,14 @@ def _run_explain(
     return model, graph, score_graph(graph)
 
 
+def _repro_seed(data: Dataset, params: ForestParams) -> tuple[dict[Predicate, float], set[int]]:
+    """One repro seed's IOP per predicate and its detected rows; the model and
+    graph are dropped before the next seed fits."""
+    model, _, report = _run_explain(data, params)
+    detected = {int(i) for i in np.flatnonzero(model.labels == OUTLIER)}
+    return {e.predicate: e.iop for e in report.entries}, detected
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
@@ -382,7 +390,7 @@ def _print_repro(
         )
         return
     print(f"seeds: {n_seeds} (base {base_seed})")
-    label_width = max(len(predicate_label(p, names)) for p in stats)
+    label_width = max((len(predicate_label(p, names)) for p in stats), default=0)
     print(f"{'predicate'.ljust(label_width)} | mean IOP | sign agreement")
     for p, st in stats.items():
         print(
@@ -421,11 +429,9 @@ def _repro_fixture(args: argparse.Namespace) -> int:
         params = ForestParams(
             n_trees=args.trees, seed=seed, label_rule=rule
         )
-        model, graph, report = _run_explain(data, params)
-        iops = {e.predicate: e.iop for e in report.entries}
+        iops, detected = _repro_seed(data, params)
         per_seed.append(iops)
 
-        detected = {int(i) for i in np.flatnonzero(model.labels == OUTLIER)}
         neg_ok = all(iops.get(p, 1.0) < 0 for p in negative)
         top3_ok = _most_negative(iops, 3) == set(negative)
         # Fixture one's check also demands the injected sample be the
@@ -485,8 +491,7 @@ def _repro_dataset(args: argparse.Namespace) -> int:
     hits = 0
     for seed in range(args.seed, args.seed + args.seeds):
         params = ForestParams(n_trees=args.trees, seed=seed, label_rule=rule)
-        _, _, report = _run_explain(data, params)
-        iops = {e.predicate: e.iop for e in report.entries}
+        iops, _ = _repro_seed(data, params)
         per_seed.append(iops)
 
         negatives = {p for p, v in iops.items() if v < 0}

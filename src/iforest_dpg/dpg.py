@@ -9,7 +9,7 @@ predicate nodes, a virtual source and the two class terminals; an edge's
 weight is its counts times the class weights. Because the graph holds
 counts, flow conservation at a node is an integer identity, and every flow
 the IOP-Score reads is one count sum times one class weight. The counts are
-read off how many rows of each class reach each leaf.
+read off how many rows of each class end at each leaf.
 """
 
 from __future__ import annotations
@@ -130,12 +130,13 @@ def build_model_graph(
     """The graph of `data`'s routes, row i's traces Outlier iff `outlier[i]`.
 
     Gives the counts of the trace pipeline in tests/graph_reference.py. Every
-    route ends at a leaf, so counts follow from the leaf visits of each class
-    (`forest._transition_counts`), the outliers' only at leaves above the
-    depth cap. The outlier rows are routed for theirs, and the inlier visits
-    are all rows' `visits` minus those: fit's `model.train_visits` for the
-    training set, else one routing pass over all rows. A mask that is not
-    one bool per row, or visits that cannot be `data`'s, is a ValueError.
+    route ends at a final slot of the forest, so counts follow from how many
+    routes of each class end at each (`forest._transition_counts`), the
+    outliers' only at leaves above the depth cap. The outlier rows are
+    routed for theirs, and the inlier visits are all rows' `visits` minus
+    those: fit's `model.train_visits` for the training set, else one routing
+    pass over all rows. A mask that is not one bool per row, or visits that
+    cannot be `data`'s, is a ValueError.
     """
     outlier = np.asarray(outlier)
     if outlier.dtype != bool or outlier.shape != (data.n_samples,):
@@ -151,7 +152,7 @@ def build_model_graph(
     if visits is None:
         visits = _leaf_visits(forest, X)
     elif (
-        visits.shape != (forest.n_nodes,)
+        visits.shape != forest.h.shape
         or visits.sum() != forest.n_trees * data.n_samples
         or (visits < outlier_visits).any()
     ):
@@ -160,7 +161,9 @@ def build_model_graph(
             "at each leaf at least the outlier rows'"
         )
     inlier_visits = visits - outlier_visits
-    deep = forest.depth >= depth_cap
+    # A route reaches the depth cap iff it ends at a final slot that is a
+    # node: one whose parent splits.
+    deep = np.isfinite(forest.threshold[forest.level(depth_cap - 1)]).repeat(2)
     pruned = int(outlier_visits[deep].sum())
     if pruned == forest.n_trees * n_o:
         raise SingleClassError("no Outlier traces remain; graph would be single-class")

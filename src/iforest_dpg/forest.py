@@ -2,17 +2,16 @@
 
 Trees are grown on uniform random subsamples with uniformly random
 feature/value splits. Trees grow in lockstep, one split of each per numpy
-step, popping from flat per-tree stacks that hold only nodes that may split;
-a step records its nodes, and their preorder positions follow from subtree
-sizes once the last tree is done. Each tree's draws come from its own seeded
-Generator stream, replayed from raw bit-generator words in the order a
-recursive grower would draw them. A fitted forest is one node table of all
-trees (`FlatForest`), the only tree form, in which each node's subtree is a
-range of the table. Each routing pass lays it out as perfect trees, level by
-level (`_LevelTable`), so a step down a level is arithmetic on a slot index,
-and a large pass routes half its row blocks on a second thread; neither
-changes a score or a count. Transition counts are read off the subtree
-ranges.
+step, popping from flat per-tree stacks that hold only nodes that may split.
+Each tree's draws come from its own seeded Generator stream, replayed from raw
+bit-generator words in the order a recursive grower would draw them. A fitted
+forest is one table (`FlatForest`), its only form: every tree laid out as a
+perfect tree as deep as the depth cap, level by level, so a split writes its
+own slot and a step down a level is arithmetic on a slot index. A route ends
+at one of the last level's slots, and a large routing pass routes half its
+row blocks on a second thread, which changes no score or count. Transition
+counts follow from how many routes end at each final slot, summed pairwise
+up the levels.
 Anomaly scores follow the classic path-length normalization:
 s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
 length in a binary search tree of n points. New rows are labeled by the
@@ -168,89 +167,55 @@ class ForestParams:
 
 
 class FlatForest:
-    """Every tree of a forest in one node table, routed all at once.
+    """Every tree of a forest as a perfect tree of `levels` levels, stored
+    level by level: the one form `fit` grows, routing steps through and
+    model.json is saved from and loaded into.
 
-    It is built from the trees' preorder arrays laid end to end, the form
-    `fit` grows and model.json stores, with `n_nodes` counting each tree's
-    nodes: `feature`, -1 at a leaf; `split`, the split value, unused at a
-    leaf; `right`, the tree-local index of the right child, -1 at a leaf;
-    and `size`, the subsample rows at a leaf, 0 at an internal node. The
-    left child of internal node i is node i + 1, and its right child comes
-    after the left child's subtree.
+    Slot (level k, tree t, position p) is T*(2**k - 1) + t*2**k + p for T
+    trees, so tree t's root is slot t and the children of slot s are
+    2*s + T (left) and 2*s + T + 1 (right); counted from its level's first
+    slot, slot q's children are 2q and 2q + 1 of the level below. Levels
+    0..levels-1 hold `feature` (int32) and `threshold` (float64): a split
+    sends values <= threshold left and larger values right. A leaf, and
+    every slot below it, has feature 0 and threshold +inf, so a row that
+    reaches it keeps going left. The T*2**levels final slots, indexed from
+    the last level's first, hold `size` (int32), the subsample rows of the
+    leaf whose left-going route ends there, 0 where no route ends, and `h`,
+    the path length a route that ends there adds to a score: the leaf's
+    depth, plus c(size) when `leaf_adjustment`.
 
-    In the table tree t's nodes start at `roots[t]`, and node i's subtree is
-    the nodes [i, end[i]), so the right child of internal node i is
-    end[i + 1]. An internal node sends value <= threshold left and larger
-    values right; a leaf reads column 0 and has threshold +inf. `slot` is
-    each node's place in `_LevelTable`: tree t's root is at t, and the
-    children of the node at slot s are at 2*s + T and 2*s + T + 1 for T
-    trees.
-
-    Per node: `depth`, `size`, `h` = depth + c(size) (the path length a leaf
-    contributes to a score; c only when `leaf_adjustment`) and `code` =
-    2*feature + went_right of the edge into the node, -1 at a root, whose
-    route starts at SOURCE.
+    A slot is a node iff it is a root or its parent's threshold is finite; a
+    node is a leaf iff its threshold is +inf or it is a final slot.
     """
 
-    __slots__ = (
-        "roots", "feature", "threshold", "leaf", "size", "depth", "end", "slot",
-        "h", "code", "max_depth", "width",
-    )
+    __slots__ = ("n_trees", "levels", "feature", "threshold", "size", "h", "width")
 
     def __init__(
         self,
+        n_trees: int,
+        levels: int,
         feature: np.ndarray,
-        split: np.ndarray,
-        right: np.ndarray,
+        threshold: np.ndarray,
         size: np.ndarray,
-        n_nodes: Sequence[int] | np.ndarray,
         leaf_adjustment: bool,
     ) -> None:
-        n_nodes = np.asarray(n_nodes, dtype=np.intp)
-        n_trees = len(n_nodes)
-        self.roots = n_nodes.cumsum() - n_nodes
-        self.leaf = np.asarray(feature) < 0
-        self.feature = np.where(self.leaf, 0, feature).astype(np.int32)
-        self.threshold = np.where(self.leaf, np.inf, split)
-        self.size = np.asarray(size).astype(np.int32)
-        inner = np.flatnonzero(~self.leaf)
-        # The global index of each node's right child, meaningless at a leaf.
-        right_of = np.repeat(self.roots, n_nodes)
-        right_of += right
-        self.code = np.full(len(self.leaf), -1, dtype=np.int32)
-        self.code[inner + 1] = 2 * self.feature[inner]
-        self.code[right_of[inner]] = self.code[inner + 1] + 1
-        # Depth, subtree end and slot one level at a time, from the roots down.
-        self.depth = np.zeros(len(self.leaf), dtype=np.int32)
-        self.end = np.empty(len(self.leaf), dtype=np.int32)
-        self.end[self.roots] = self.roots + n_nodes
-        self.slot = np.empty(len(self.leaf), dtype=np.int32)
-        self.slot[self.roots] = np.arange(n_trees)
-        level, depth = self.roots, 0
-        while level.size:
-            self.depth[level] = depth
-            at = level[~self.leaf[level]]
-            left, right_child = at + 1, right_of[at]
-            self.end[left] = right_child
-            self.end[right_child] = self.end[at]
-            self.slot[left] = 2 * self.slot[at] + n_trees
-            self.slot[right_child] = self.slot[left] + 1
-            level = np.concatenate([left, right_child])
-            depth += 1
-        self.h = self.depth.astype(np.float64)
+        self.n_trees, self.levels = n_trees, levels
+        self.feature, self.threshold, self.size = feature, threshold, size
+        # The depth of the leaf above each final slot, from the roots down: a
+        # slot below a split is one level deeper, one below a leaf is not.
+        depth = np.zeros(n_trees)
+        for k in range(levels):
+            depth = np.where(np.isfinite(threshold[self.level(k)]), k + 1.0, depth).repeat(2)
+        self.h = depth
         if leaf_adjustment:
-            self.h += _leaf_adjustment_table(int(self.size.max(initial=0)))[self.size]
-        self.max_depth = int(self.depth.max(initial=0))
+            self.h += _leaf_adjustment_table(int(size.max(initial=0)))[size]
         # Columns a routed row must have: leaves read column 0.
-        self.width = int(self.feature.max(initial=0)) + 1
+        self.width = int(feature.max(initial=0)) + 1
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.roots)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
+    def level(self, k: int) -> slice:
+        """The slots of level k < `levels` in `feature` and `threshold`."""
+        first = self.n_trees * ((1 << k) - 1)
+        return slice(first, first + (self.n_trees << k))
 
 
 @dataclass
@@ -270,8 +235,8 @@ class ForestModel:
     scores: np.ndarray
     labels: np.ndarray
     cutoff: float
-    # How many training rows reach each node, from fit's routing pass; None
-    # on a loaded model, and never saved.
+    # How many training rows end at each final slot, from fit's routing
+    # pass; None on a loaded model, and never saved.
     train_visits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -387,53 +352,58 @@ _GROUP_ROWS = 1 << 16
 
 def _grow_forest(
     X: np.ndarray, sub_n: int, depth_cap: int, n_trees: int, seed: int
-) -> tuple[np.ndarray, ...]:
-    """Grow every tree into (feature, split, right, size, n_nodes).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grow every tree into `FlatForest`'s slots, `depth_cap` levels deep:
+    (feature, threshold, size).
 
-    The first four are `FlatForest`'s flat preorder form, all trees end to
-    end: int32 feature, float64 split, int32 right and int32 size; `n_nodes`
-    counts each tree's nodes. Tree t draws its subsample with
-    `default_rng(seed + t).choice` and its splits from the rest of that
-    stream, in the order a recursive grower would. Consecutive trees grow in
-    lockstep groups of at most `_GROUP_ROWS` subsample rows.
+    Tree t draws its subsample with `default_rng(seed + t).choice` and its
+    splits from the rest of that stream, in the order a recursive grower
+    would. Consecutive trees grow in lockstep groups of at most `_GROUP_ROWS`
+    subsample rows.
     """
+    feature = np.zeros(n_trees * ((1 << depth_cap) - 1), dtype=np.int32)
+    threshold = np.full(len(feature), np.inf)
+    size = np.zeros(n_trees << depth_cap, dtype=np.int32)
     per_group = max(1, _GROUP_ROWS // sub_n)
-    groups = [
-        _grow_lockstep(X, sub_n, depth_cap, range(first, min(first + per_group, seed + n_trees)))
-        for first in range(seed, seed + n_trees, per_group)
-    ]
-    return tuple(np.concatenate(column) for column in zip(*groups))
+    for first in range(0, n_trees, per_group):
+        roots = np.arange(first, min(first + per_group, n_trees))
+        _grow_lockstep(X, sub_n, depth_cap, roots, seed, (feature, threshold, size))
+    return feature, threshold, size
 
 
 def _grow_lockstep(
-    X: np.ndarray, sub_n: int, depth_cap: int, seeds: Sequence[int]
-) -> tuple[np.ndarray, ...]:
-    """Grow one tree per seed in lockstep, as `_grow_forest` describes.
+    X: np.ndarray,
+    sub_n: int,
+    depth_cap: int,
+    roots: np.ndarray,
+    seed: int,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Grow the trees at `roots` in lockstep into `table`, as `_grow_forest`
+    describes; tree t's stream is seeded `seed + t`.
 
     Only split candidates, nodes of more than one row above the depth cap,
     go on the stacks. Each step pops one candidate of every tree whose stack
     is not empty, so step i pops each tree's candidate i in preorder, and a
     fit takes as many steps as the largest tree has internal nodes. A popped
     node whose rows are all identical draws its redraw and stays a leaf. A
-    split records both children, pushes the right one if it is a candidate,
-    then the left one on top; a child that is not a candidate is a leaf there
-    and then and draws nothing, as in the recursive grower.
+    split writes its feature and threshold at its slot, pushes the right
+    child if it is a candidate, then the left one on top; a child that is
+    not a candidate is a leaf there and then and draws nothing, as in the
+    recursive grower. A leaf writes its size at its final slot.
 
     The stacks are flat: tree t's entry at height h is at t * (depth_cap + 1)
-    + h of four arrays, (start, end, depth, node): the node's rows are
+    + h of four arrays, (start, end, depth, slot): the node's rows are
     `rows_of[start:end]`, where tree t's subsample takes positions t * sub_n
-    onwards, and node is its record. A split partitions its rows in place,
-    left rows first. Records are numbered as they are made: tree t's root is
-    t, and split k makes records n_trees + 2k (left) and n_trees + 2k + 1
-    (right). Once the last tree is done, each record's subtree size is
-    summed from the deepest splits up, and its preorder position follows
-    from the roots down: the left child of the node at v is at v + 1, the
-    right child at v + 1 + the left child's subtree size.
+    onwards. A split partitions its rows in place, left rows first.
     """
     n, d = X.shape
-    n_trees = len(seeds)
+    feature, threshold, size = table
+    # The forest's trees, which the slot arithmetic counts.
+    forest_trees = len(size) >> depth_cap
+    n_trees = len(roots)
     values = np.ascontiguousarray(X).ravel()
-    generators = [np.random.default_rng(seed) for seed in seeds]
+    generators = [np.random.default_rng(seed + t) for t in roots.tolist()]
     # Each subsample row as the flat offset of its first value.
     rows_of = np.concatenate([g.choice(n, size=sub_n, replace=False) for g in generators]) * d
     # About the words a tree reads: 8 * n_trees * sub_n bytes, at most
@@ -444,32 +414,31 @@ def _grow_lockstep(
     # writes at most at height h + 1 <= k + 1 <= depth_cap.
     width = depth_cap + 1
     bottom = np.arange(n_trees) * width
-    start, end, depth, node = (np.zeros(n_trees * width, dtype=np.int32) for _ in range(4))
+    start, end, depth = (np.zeros(n_trees * width, dtype=np.int32) for _ in range(3))
+    slot = np.zeros(n_trees * width, dtype=np.intp)
     start[bottom] = np.arange(n_trees) * sub_n
     end[bottom] = start[bottom] + sub_n
-    node[bottom] = np.arange(n_trees)
+    slot[bottom] = roots
     # One past each tree's top entry.
     top = bottom + 1
     # The smallest unsigned key; a group has at most _GROUP_ROWS / 2 trees,
     # so it is 8 or 16 bits, which numpy's stable sort radix-sorts.
     key_type = np.min_scalar_type(2 * n_trees - 1)
-    # Per step, for each split: its tree, record, depth, feature and value,
-    # and the row counts of its two children.
-    split_trees: list[np.ndarray] = []
-    split_nodes: list[np.ndarray] = []
-    split_depths: list[np.ndarray] = []
-    split_features: list[np.ndarray] = []
-    split_values: list[np.ndarray] = []
-    left_counts: list[np.ndarray] = []
-    right_counts: list[np.ndarray] = []
-    made = n_trees
+
+    def leaves(at: np.ndarray, levels: np.ndarray, rows: np.ndarray) -> None:
+        """Write the sizes of the leaves at slots `at`, at their final slots:
+        from slot q of level k, counted from the level's first, k' left
+        steps lead to slot q * 2**k' of level k + k'."""
+        q = at - forest_trees * ((1 << levels) - 1)
+        size[q << (depth_cap - levels)] = rows
+
     live = np.arange(n_trees)
     with np.errstate(over="ignore"):
         while live.size:
             at_top = top.take(live) - 1
             top[live] = at_top
             trees = live
-            s, e, popped = start.take(at_top), end.take(at_top), node.take(at_top)
+            s, e, popped = start.take(at_top), end.take(at_top), slot.take(at_top)
             lengths = e - s
             f = streams.integers(trees, d)
             at, offsets = _segments(s, lengths)
@@ -489,6 +458,7 @@ def _grow_lockstep(
                         f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
                         lo[j], hi[j] = mins[f[j]], maxs[f[j]]
                 kept = lo < hi
+                leaves(popped[~kept], depth.take(at_top[~kept]), lengths[~kept])
                 trees, lengths, s, e, popped, at_top, f, lo, hi = (
                     a[kept] for a in (trees, lengths, s, e, popped, at_top, f, lo, hi)
                 )
@@ -507,63 +477,29 @@ def _grow_lockstep(
             rows_of[at] = rows.take(key.argsort(kind="stable"))
             mid = e - np.add.reduceat(goes_right, offsets, dtype=np.int32)
             kids = depth.take(at_top) + 1
-            left = np.arange(made, made + 2 * len(trees), 2, dtype=np.int32)
-            made += 2 * len(trees)
+            feature[popped] = f
+            threshold[popped] = v
+            left = 2 * popped + forest_trees
             left_n, right_n = mid - s, e - mid
             # The right child takes the popped entry, which already holds its
             # end, and the left one goes above it; either is kept only if it
-            # is a candidate, else the next write or the top leaves it out.
+            # is a candidate, else it is a leaf, and the next write or the
+            # top leaves it out.
             above = kids < depth_cap
             push_right = above & (right_n > 1)
             push_left = above & (left_n > 1)
+            leaves(left[~push_left], kids[~push_left], left_n[~push_left])
+            leaves(left[~push_right] + 1, kids[~push_right], right_n[~push_right])
             start[at_top] = mid
             depth[at_top] = kids
-            node[at_top] = left + 1
+            slot[at_top] = left + 1
             at_top += push_right
             start[at_top] = s
             end[at_top] = mid
             depth[at_top] = kids
-            node[at_top] = left
+            slot[at_top] = left
             top[trees] = at_top + push_left
-            split_trees.append(trees)
-            split_nodes.append(popped)
-            split_depths.append(kids)
-            split_features.append(f)
-            split_values.append(v)
-            left_counts.append(left_n)
-            right_counts.append(right_n)
             live = live[top.take(live) > bottom.take(live)]
-    # Each record's subtree size, from the deepest splits up, then its
-    # preorder position, from the roots down; tree t's root is record t.
-    tree = np.concatenate(split_trees)
-    inner = np.concatenate(split_nodes)
-    level = np.concatenate(split_depths)
-    left = np.arange(n_trees, made, 2, dtype=np.int32)
-    by_level = [np.flatnonzero(level == k) for k in range(1, depth_cap + 1)]
-    subtree = np.ones(made, dtype=np.int32)
-    for k in reversed(by_level):
-        subtree[inner[k]] = subtree[left[k]] + subtree[left[k] + 1] + 1
-    n_nodes = subtree[:n_trees]
-    position = np.empty(made, dtype=np.int32)
-    position[:n_trees] = n_nodes.cumsum() - n_nodes
-    for k in by_level:
-        kid = left[k]
-        position[kid] = position[inner[k]] + 1
-        position[kid + 1] = position[kid] + subtree[kid]
-    size = np.empty(made, dtype=np.int32)
-    size[position[:n_trees]] = sub_n
-    size[position[n_trees::2]] = np.concatenate(left_counts)
-    size[position[n_trees + 1 :: 2]] = np.concatenate(right_counts)
-    at = position.take(inner)
-    size[at] = 0
-    feature = np.full(made, -1, dtype=np.int32)
-    feature[at] = np.concatenate(split_features)
-    split = np.zeros(made)
-    split[at] = np.concatenate(split_values)
-    # Right children as tree-local indices.
-    right = np.full(made, -1, dtype=np.int32)
-    right[at] = position.take(left + 1) - position.take(tree)
-    return feature, split, right, size, n_nodes
 
 
 def fit(data: Dataset, params: ForestParams) -> ForestModel:
@@ -587,13 +523,15 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     depth_cap = max_tree_depth(sub_n)
 
     forest = FlatForest(
+        params.n_trees,
+        depth_cap,
         *_grow_forest(X, sub_n, depth_cap, params.n_trees, params.seed),
         leaf_adjustment=params.leaf_adjustment,
     )
 
     # The one routing pass over the training set: it yields the scores and the
     # leaf visits a graph of the training set can be built from.
-    visits = np.zeros(forest.n_nodes, dtype=np.int64)
+    visits = np.zeros(len(forest.h), dtype=np.int64)
     scores = anomaly_score(_mean_paths(forest, X, visits), sub_n)
     labels = label_scores(scores, params.label_rule)
     rule = params.label_rule
@@ -618,9 +556,9 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
 # before the root and END = 2d + 1 after the leaf. counts[prev*M + code] is
 # the number of routes that stepped from `prev` to `code`, so a route through
 # a tree that is a single leaf adds one SOURCE -> END. Every route ends at a
-# leaf, so the counts follow from how many rows reach each leaf: a node is
-# passed by the rows at the leaves below it, each passing row steps into the
-# node from its parent's code, and each row at a leaf steps on to END.
+# final slot, so the counts follow from how many rows end at each: a node is
+# passed by the rows that end below it, each passing row steps into the node
+# from its parent's code, and each row at a leaf steps on to END.
 
 # (tree, row) pairs routed per block, so each of a block's node, index and
 # value arrays is 128 KB whatever the number of rows. Larger blocks were no
@@ -641,61 +579,29 @@ def _check_width(forest: FlatForest, n_features: int) -> None:
         )
 
 
-class _LevelTable:
-    """A forest as perfect trees of `max_depth` levels, stored level by level.
+def _route(forest: FlatForest, X: np.ndarray) -> np.ndarray:
+    """The final slot each row of X ends at in every tree: (n_trees, n_rows)
+    indices into `forest.h` and `forest.size`.
 
-    Slot (level L, tree t, position p) is T*(2**L - 1) + t*2**L + p for T
-    trees, so the children of a slot at any level are 2*slot + T (left) and
-    2*slot + T + 1 (right), and a routing step needs no child table. Levels
-    0..max_depth-1 hold `feature` and `threshold`; a leaf above the last
-    level fills its subtree with feature 0 and threshold +inf, so a row that
-    reached it keeps going left. Level max_depth holds `leaf`, the
-    `FlatForest` node index each slot ends at, indexed from the level's first
-    slot. Built for one routing pass and dropped after it.
-    """
-
-    __slots__ = ("n_trees", "levels", "feature", "threshold", "leaf")
-
-    def __init__(self, forest: FlatForest) -> None:
-        n_trees, levels = forest.n_trees, forest.max_depth
-        self.n_trees, self.levels = n_trees, levels
-        self.feature = np.zeros(n_trees * ((1 << levels) - 1), dtype=np.int32)
-        self.threshold = np.full(len(self.feature), np.inf)
-        inner = np.flatnonzero(~forest.leaf)
-        here = forest.slot[inner]
-        self.feature[here] = forest.feature[inner]
-        self.threshold[here] = forest.threshold[inner]
-        # A leaf ends where k left steps, slot -> 2*slot + T, lead from it:
-        # at 2**k * slot + T*(2**k - 1), k levels below the leaf.
-        leaf = np.flatnonzero(forest.leaf)
-        below = (levels - forest.depth[leaf]).astype(np.intp)
-        end = (forest.slot[leaf].astype(np.intp) << below) + n_trees * ((1 << below) - 1)
-        self.leaf = np.zeros(n_trees << levels, dtype=np.int32)
-        self.leaf[end - n_trees * ((1 << levels) - 1)] = leaf
-
-
-def _route(table: _LevelTable, X: np.ndarray) -> np.ndarray:
-    """The leaf each row of X reaches in every tree: (n_trees, n_rows) node indices.
-
-    All (tree, row) pairs step down the level table together, one level per
-    step. X is read row-major, so it must be at least `forest.width` columns
-    wide, and its rows are bounded per call: both are `_route_pass`'s job.
-    It only reads the table and X, so the caller and `_route_pass`'s helper
-    thread run it on their own blocks at the same time.
+    All (tree, row) pairs step down the levels together, one level per step.
+    X is read row-major, so it must be at least `forest.width` columns wide,
+    and its rows are bounded per call: both are `_route_pass`'s job. It only
+    reads the forest and X, so the caller and `_route_pass`'s helper thread
+    run it on their own blocks at the same time.
     """
     n, d = X.shape
-    n_trees = table.n_trees
+    n_trees = forest.n_trees
     values = np.ascontiguousarray(X).ravel()
     slot = np.repeat(np.arange(n_trees), n)
     row_offset = np.tile(np.arange(0, n * d, d), n_trees)
-    feature, threshold = table.feature, table.threshold
-    for _ in range(table.levels):
+    feature, threshold = forest.feature, forest.threshold
+    for _ in range(forest.levels):
         right = values.take(row_offset + feature.take(slot)) > threshold.take(slot)
         slot *= 2
         slot += n_trees
         slot += right
-    slot -= n_trees * ((1 << table.levels) - 1)
-    return table.leaf.take(slot).reshape(n_trees, n)
+    slot -= n_trees * ((1 << forest.levels) - 1)
+    return slot.reshape(n_trees, n)
 
 
 # Pairs a routing pass must route before half its blocks go to a helper
@@ -718,26 +624,26 @@ def _route_pass(
     """Route every (tree, row) pair of X, `_BLOCK_PAIRS` pairs per block.
 
     Writes each row's path lengths, summed tree by tree in tree order, into
-    `paths` and adds the number of rows that reach each node into `visits`;
-    either may be None. A large pass routes the second half of its blocks on
-    a helper thread, which counts into its own `visits`, added in at the end;
-    integer sums and per-row sums do not depend on the split, so neither
-    does the output. An exception in the helper is raised in the caller.
+    `paths` and adds the number of rows that end at each final slot into
+    `visits`; either may be None. A large pass routes the second half of its
+    blocks on a helper thread, which counts into its own `visits`, added in
+    at the end; integer sums and per-row sums do not depend on the split, so
+    neither does the output. An exception in the helper is raised in the
+    caller.
     """
     _check_width(forest, X.shape[1])
-    table = _LevelTable(forest)
     step = max(1, _BLOCK_PAIRS // forest.n_trees)
     starts = range(0, len(X), step)
 
     def route(blocks: range, counts: np.ndarray | None) -> None:
         for start in blocks:
-            leaves = _route(table, X[start : start + step])
+            ends = _route(forest, X[start : start + step])
             if paths is not None:
                 # A running sum down the trees fixes the order of the
                 # additions; `sum` may add pairwise, e.g. for a one-row block.
-                paths[start : start + step] = np.cumsum(forest.h.take(leaves), axis=0)[-1]
+                paths[start : start + step] = np.cumsum(forest.h.take(ends), axis=0)[-1]
             if counts is not None:
-                counts += np.bincount(leaves.ravel(), minlength=forest.n_nodes)
+                counts += np.bincount(ends.ravel(), minlength=len(forest.h))
 
     if _THREADS < 2 or len(starts) < 2 or forest.n_trees * len(X) < _THREAD_PAIRS:
         route(starts, visits)
@@ -765,8 +671,8 @@ def _route_pass(
 
 
 def _leaf_visits(forest: FlatForest, X: np.ndarray) -> np.ndarray:
-    """Number of X's rows that reach each node, nonzero only at leaves."""
-    visits = np.zeros(forest.n_nodes, dtype=np.int64)
+    """Number of X's rows that end at each final slot."""
+    visits = np.zeros(len(forest.h), dtype=np.int64)
     _route_pass(forest, X, None, visits)
     return visits
 
@@ -776,33 +682,41 @@ def _transition_counts(
 ) -> np.ndarray:
     """Transition counts (int64, length M*M) of the routes that end as `visits` says.
 
-    `visits[j]` is the number of routes that end at leaf j. The routes
-    through a node are those that end in its subtree [i, end[i]), a
-    difference of two prefix sums. Counting is in integers, so the result
-    does not depend on the order of trees or rows.
+    `visits[j]` is the number of routes that end at final slot j. The routes
+    through a slot are those through its two children, summed pairwise from
+    the last level up. Counting is in integers, so the result does not
+    depend on the order of trees or rows.
     """
     m = _n_codes(n_features)
-    source, end = m - 2, m - 1
-    ended = np.zeros(forest.n_nodes + 1, dtype=np.int64)
-    np.cumsum(visits, out=ended[1:])
-    through = ended.take(forest.end) - ended[:-1]
-    into = forest.code.astype(np.intp)
-    into[into < 0] = source
+    through = [visits]
+    for _ in range(forest.levels):
+        below = through[-1]
+        through.append(below[0::2] + below[1::2])
     counts = np.zeros(m * m, dtype=np.int64)
-    # A route at a leaf steps on to END; a route through an internal node
-    # steps on to the code of the child it went to, i + 1 or end[i + 1].
-    leaf = forest.leaf
-    np.add.at(counts, into[leaf] * m + end, through[leaf])
-    inner = np.flatnonzero(~leaf)
-    kids = np.concatenate([inner + 1, forest.end.take(inner + 1)])
-    np.add.at(counts, np.tile(into.take(inner) * m, 2) + into.take(kids), through.take(kids))
+    # The code of the edge into each slot of a level: SOURCE at the roots,
+    # 2*feature + went_right below a split, and the parent's below a leaf.
+    into = np.full(forest.n_trees, m - 2, dtype=np.intp)
+    for k in range(forest.levels):
+        at = forest.level(k)
+        split = np.flatnonzero(np.isfinite(forest.threshold[at]))
+        left = 2 * forest.feature[at][split]
+        # A route through a split steps on to the code of the child it went to.
+        kids = through[-2 - k]
+        np.add.at(counts, into[split] * m + left, kids[2 * split])
+        np.add.at(counts, into[split] * m + left + 1, kids[2 * split + 1])
+        into = into.repeat(2)
+        into[2 * split] = left
+        into[2 * split + 1] = left + 1
+    # A route steps on to END from the leaf it ends at.
+    ended = np.flatnonzero(visits)
+    np.add.at(counts, into[ended] * m + m - 1, visits[ended])
     return counts
 
 
 def _mean_paths(
     forest: FlatForest, X: np.ndarray, visits: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean path length of every row of X; adds each row's leaves into `visits`.
+    """Mean path length of every row of X; adds each row's final slots into `visits`.
 
     A row's path lengths are summed tree by tree in tree order, so scores do
     not depend on the block size or on which thread routed the row.

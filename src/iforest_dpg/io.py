@@ -21,7 +21,7 @@ import json
 import math
 import platform
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
@@ -324,7 +324,7 @@ def _tree_from_dict(
     subsample size; internal nodes have a feature >= 0, a finite split, size
     0, and a right child after their left child i + 1 and inside the tree.
     Every node but the root is the child of exactly one node. That the nodes
-    are in preorder is checked on the node table.
+    are in preorder is checked as they are placed in the forest's slots.
     """
     feature = _array(obj, "feature", (int,), np.int64)
     split = _array(obj, "split", (int, float), np.float64)
@@ -374,22 +374,92 @@ def _model_head(model: ForestModel) -> dict[str, Any]:
 
 
 def _tree_dicts(forest: FlatForest) -> Iterator[dict[str, list]]:
-    """Each tree's preorder arrays, as model.json stores them, sliced from the
-    node table one tree at a time."""
-    bounds = [*forest.roots.tolist(), forest.n_nodes]
-    for a, b in zip(bounds, bounds[1:]):
-        leaf = forest.leaf[a:b]
-        # The right child of internal node i ends the left subtree at i + 1;
-        # tree-local, it is end[i + 1] - a.
-        inner = np.flatnonzero(~leaf)
-        right = np.full(b - a, -1, dtype=np.int64)
-        right[inner] = forest.end[a + inner + 1] - a
+    """Each tree's preorder arrays, as model.json stores them.
+
+    Each node's subtree size is summed pairwise from the last level up, and
+    its preorder position set from the roots down: the left child of the
+    node at v is at v + 1, the right child at v + 1 + the left child's
+    subtree size.
+    """
+    n_trees, levels = forest.n_trees, forest.levels
+    splits = [np.isfinite(forest.threshold[forest.level(k)]) for k in range(levels)]
+    nodes = [np.ones(n_trees, dtype=bool), *(inner.repeat(2) for inner in splits)]
+    subtree = [nodes[-1].astype(np.int64)]
+    for k in reversed(range(levels)):
+        subtree.insert(0, subtree[0][0::2] + subtree[0][1::2] + nodes[k])
+    n_nodes = subtree[0]
+    roots = n_nodes.cumsum() - n_nodes
+    feature = np.full(int(n_nodes.sum()), -1, dtype=np.int64)
+    split = np.zeros(len(feature))
+    right = np.full(len(feature), -1, dtype=np.int64)
+    size = np.zeros(len(feature), dtype=np.int64)
+    # Each slot's position in the trees laid end to end, used only at nodes.
+    position = roots
+    for k, inner in enumerate(splits):
+        leaf = np.flatnonzero(nodes[k] & ~inner)
+        size[position[leaf]] = forest.size[leaf << (levels - k)]
+        kids = np.empty(n_trees << (k + 1), dtype=np.int64)
+        kids[0::2] = position + 1
+        kids[1::2] = kids[0::2] + subtree[k + 1][0::2]
+        at = np.flatnonzero(inner)
+        feature[position[at]] = forest.feature[forest.level(k)][at]
+        split[position[at]] = forest.threshold[forest.level(k)][at]
+        right[position[at]] = kids[2 * at + 1] - roots[at >> k]
+        position = kids
+    size[position[nodes[-1]]] = forest.size[nodes[-1]]
+    for a, b in zip(roots.tolist(), (roots + n_nodes).tolist()):
         yield {
-            "feature": np.where(leaf, -1, forest.feature[a:b]).tolist(),
-            "split": np.where(leaf, 0.0, forest.threshold[a:b]).tolist(),
-            "right": right.tolist(),
-            "size": forest.size[a:b].tolist(),
+            "feature": feature[a:b].tolist(),
+            "split": split[a:b].tolist(),
+            "right": right[a:b].tolist(),
+            "size": size[a:b].tolist(),
         }
+
+
+def _forest_from_preorder(
+    trees: Iterable[tuple[np.ndarray, ...]], n_trees: int, levels: int, leaf_adjustment: bool
+) -> FlatForest:
+    """The forest of `levels` levels that holds `n_trees` trees given as
+    model.json's preorder arrays (feature, split, right, size), in which
+    each node but the root is the child of one node before it.
+
+    Each tree is placed as it comes, so only one tree's arrays need be held
+    at a time, its nodes level by level from the root down, tracking each
+    node's subtree end: a left child's subtree ends where its right sibling
+    starts, and a right child's where its parent's does. A tree deeper than
+    `levels`, or whose nodes are not in preorder, where each leaf's subtree
+    is the leaf alone, is a ValueError.
+    """
+    slot_feature = np.zeros(n_trees * ((1 << levels) - 1), dtype=np.int32)
+    slot_threshold = np.full(len(slot_feature), np.inf)
+    slot_size = np.zeros(n_trees << levels, dtype=np.int32)
+    for t, (feature, split, right, size) in enumerate(trees):
+        end = np.empty(len(feature), dtype=np.int64)
+        end[0] = len(feature)
+        # The nodes of level k and their slots, counted from the level's first.
+        here, slot = np.zeros(1, dtype=np.int64), np.array([t])
+        for k in range(levels + 1):
+            inner = feature[here] >= 0
+            slot_size[slot[~inner] << (levels - k)] = size[here[~inner]]
+            here, slot = here[inner], slot[inner]
+            if not here.size:
+                break
+            if k == levels:
+                raise _malformed(f"a tree is deeper than the depth cap {levels}")
+            at = n_trees * ((1 << k) - 1) + slot
+            slot_feature[at] = feature[here]
+            slot_threshold[at] = split[here]
+            left, right_child = here + 1, right[here]
+            end[left] = right_child
+            end[right_child] = end[here]
+            here = np.concatenate([left, right_child])
+            slot = np.concatenate([2 * slot, 2 * slot + 1])
+        leaves = np.flatnonzero(feature < 0)
+        if not np.array_equal(end[leaves], leaves + 1):
+            raise _malformed("a tree's nodes are not in preorder")
+    return FlatForest(
+        n_trees, levels, slot_feature, slot_threshold, slot_size, leaf_adjustment
+    )
 
 
 def model_to_dict(model: ForestModel) -> dict[str, Any]:
@@ -436,21 +506,12 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         if len(trees) != params.n_trees:
             raise _malformed(f"{len(trees)} trees for n_trees {params.n_trees}")
         subsample_size = min(params.max_subsample, n_train)
-        columns = list(zip(*(_tree_from_dict(t, subsample_size) for t in trees)))
-        forest = FlatForest(
-            *(np.concatenate(column) for column in columns),
-            n_nodes=[len(feature) for feature in columns[0]],
-            leaf_adjustment=params.leaf_adjustment,
+        forest = _forest_from_preorder(
+            (_tree_from_dict(t, subsample_size) for t in trees),
+            len(trees),
+            max_tree_depth(subsample_size),
+            params.leaf_adjustment,
         )
-        if forest.max_depth > max_tree_depth(subsample_size):
-            raise _malformed(
-                f"a tree is {forest.max_depth} deep, beyond the depth cap "
-                f"{max_tree_depth(subsample_size)}"
-            )
-        # Subtree ranges hold only if each leaf's range is the leaf alone.
-        leaves = np.flatnonzero(forest.leaf)
-        if not np.array_equal(forest.end[leaves], leaves + 1):
-            raise _malformed("a tree's nodes are not in preorder")
         return ForestModel(
             forest=forest,
             params=params,

@@ -559,6 +559,24 @@ def test_repro_dataset_runs_with_expected_columns(tmp_path, capsys, fixture_csv)
     assert isinstance(doc["pass"], bool)
 
 
+def test_repro_text_without_predicates_prints_its_checks(tmp_path, capsys):
+    # Identical rows grow single-leaf trees, so no seed has a predicate; the
+    # text report still prints its header and its check, as --json does.
+    path = tmp_path / "same.csv"
+    path.write_text("TSH,T3\n" + "1,2\n" * 4)
+    code, stdout, err = run(
+        capsys,
+        "repro", "--dataset", str(path), "--seeds", "2", "--trees", "5",
+        "--contamination", "0.3",
+    )
+    assert code == 0, err
+    lines = stdout.splitlines()
+    assert lines[:2] == ["seeds: 2 (base 0)", "predicate | mean IOP | sign agreement"]
+    assert lines[2].startswith("check: TSH > is the unique minimum IOP")
+    assert lines[2].endswith("0/2 (0%) [needs >= 80%] FAIL")
+    assert lines[3:] == ["overall: FAIL"]
+
+
 def test_repro_dataset_label_column_by_index(tmp_path, capsys, fixture_csv):
     # A digit string selects the label column by position, as on explain.
     lines = fixture_csv.read_text().splitlines()

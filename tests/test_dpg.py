@@ -428,7 +428,7 @@ def test_mismatched_mask_or_visits_is_a_value_error(small_model):
     # Visits that sum to T x n, moved off a leaf some outlier row reaches.
     moved = model.train_visits.copy()
     reached = np.flatnonzero(_leaf_visits(model.forest, data.features[outlier]))
-    other = np.flatnonzero(model.forest.leaf & (moved > 0))
+    other = np.flatnonzero(moved > 0)
     other = other[other != reached[0]][0]
     moved[other] += moved[reached[0]]
     moved[reached[0]] = 0

@@ -19,7 +19,6 @@ from iforest_dpg.forest import (
     ForestParams,
     ScoreThreshold,
     SingleClassError,
-    _LevelTable,
     _route,
     _Streams,
     _transition_counts,
@@ -121,14 +120,9 @@ def test_anomaly_score_strictly_decreasing(lo, gap, n):
 _TOY_TREE = Tree(feature=[0, -1, -1], split=[0.5, 0.0, 0.0], right=[2, -1, -1], size=[0, 3, 1])
 
 
-def _leaves(forest, X):
-    """`_route` through the level table of `forest`."""
-    return _route(_LevelTable(forest), X)
-
-
 def _path_length(x, leaf_adjustment):
     forest = flat([_TOY_TREE], leaf_adjustment)
-    return forest.h[_leaves(forest, np.array([x]))[0, 0]]
+    return forest.h[_route(forest, np.array([x]))[0, 0]]
 
 
 def test_path_length_with_and_without_adjustment():
@@ -190,29 +184,25 @@ def test_route_matches_object_walk_on_edge_cases():
     for forest_trees in (trees, [leaf, deep, trees[0]], [leaf, leaf]):
         for adjust in (False, True):
             forest = flat(forest_trees, adjust)
-            leaves = _leaves(forest, X)
-            assert leaves.shape == (len(forest_trees), len(X))
+            ends = _route(forest, X)
+            assert ends.shape == (len(forest_trees), len(X))
             for t, tree in enumerate(forest_trees):
                 for i, x in enumerate(X):
-                    leaf_node = leaves[t, i]
-                    assert forest.leaf[leaf_node]
-                    h = float(forest.depth[leaf_node])
-                    if adjust and forest.size[leaf_node] > 1:
-                        h += average_path_normalizer(int(forest.size[leaf_node]))
-                    assert h == path_length(tree, x, adjust)
-                    assert forest.h[leaf_node] == h
-                    assert leaf_node == forest.roots[t] + route(tree, x)[1]
+                    steps, leaf_node = route(tree, x)
+                    assert ends[t, i] == _final_slot(t, steps, forest.levels)
+                    assert forest.size[ends[t, i]] == tree.size[leaf_node]
+                    assert forest.h[ends[t, i]] == path_length(tree, x, adjust)
         empty = np.empty((0, 2))
-        assert _leaves(forest, empty).shape == (len(forest_trees), 0)
+        assert _route(forest, empty).shape == (len(forest_trees), 0)
         assert forest_module._mean_paths(forest, empty).shape == (0,)
         assert not forest_module._leaf_visits(forest, empty).any()
-    assert forest.max_depth == 0
-    assert flat([leaf, deep]).max_depth == max_tree_depth(256)
+    assert forest.levels == 0
+    assert flat([leaf, deep]).levels == max_tree_depth(256)
     # The last two rows end at the two deepest leaves.
     assert [route(deep, x)[1] for x in X[-2:]] == [len(deep.feature) - 2, len(deep.feature) - 1]
     for tree in (*trees, deep):
         single = flat([tree])
-        visits = np.bincount(_leaves(single, X)[0], minlength=single.n_nodes)
+        visits = np.bincount(_route(single, X)[0], minlength=len(single.h))
         expected = np.zeros(m * m, dtype=np.int64)
         for x in X:
             codes = [2 * f + (sign == GT) for f, sign, _ in route(tree, x)[0]]
@@ -220,8 +210,18 @@ def test_route_matches_object_walk_on_edge_cases():
             for a, b in zip(chain, chain[1:]):
                 expected[a * m + b] += 1
         assert np.array_equal(_transition_counts(single, visits, X.shape[1]), expected)
-    first = flat(trees[:1])
-    assert first.depth[_leaves(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
+    first = flat(trees[:1], leaf_adjustment=False)
+    assert first.h[_route(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
+
+
+def _final_slot(t, steps, levels):
+    """The final slot of tree t where the route of `steps` ends: its leaf's
+    position p at depth k, the turns read as binary digits (right = 1),
+    then levels - k left steps."""
+    p = 0
+    for _, sign, _ in steps:
+        p = 2 * p + (sign == GT)
+    return ((t << len(steps)) + p) << (levels - len(steps))
 
 
 def _stepwise_counts(trees, X, keep):
@@ -252,19 +252,24 @@ def test_transition_counts_match_stepwise_routes(seed):
     forest = model.forest
     trees = trees_of(model)
     cap = model.max_depth
-    visits = np.bincount(_leaves(forest, X).ravel(), minlength=forest.n_nodes)
+    visits = np.bincount(_route(forest, X).ravel(), minlength=len(forest.h))
     assert np.array_equal(
         _transition_counts(forest, visits, d),
         _stepwise_counts(trees, X, lambda k: True),
     )
     assert np.array_equal(model.train_visits, visits)
     subset = X[rng.choice(n, size=17, replace=False)]
-    sub_visits = np.bincount(_leaves(forest, subset).ravel(), minlength=forest.n_nodes)
+    sub_visits = np.bincount(_route(forest, subset).ravel(), minlength=len(forest.h))
     assert np.array_equal(
         _transition_counts(forest, sub_visits, d),
         _stepwise_counts(trees, subset, lambda k: True),
     )
-    deep_visits = np.where(forest.depth >= cap, sub_visits, 0)
+    deep_visits = np.zeros_like(sub_visits)
+    for t, tree in enumerate(trees):
+        for x in subset:
+            steps, _ = route(tree, x)
+            if len(steps) >= cap:
+                deep_visits[_final_slot(t, steps, forest.levels)] += 1
     assert deep_visits.sum() > 0
     assert np.array_equal(
         _transition_counts(forest, deep_visits, d),
@@ -278,7 +283,7 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
     # last block of 1 of the 40 rows.
     data, model = small_model
     forest = model.forest
-    leaves = _leaves(forest, data.features)
+    leaves = _route(forest, data.features)
     total = np.zeros(data.n_samples)
     for t in range(forest.n_trees):
         total += forest.h[leaves[t]]
@@ -299,9 +304,9 @@ def _route_on_two_threads(monkeypatch, n_trees):
     threads = set()
     route_block = forest_module._route
 
-    def recording(table, X):
+    def recording(forest, X):
         threads.add(threading.get_ident())
-        return route_block(table, X)
+        return route_block(forest, X)
 
     monkeypatch.setattr(forest_module, "_route", recording)
     return threads
@@ -342,10 +347,10 @@ def test_helper_thread_error_is_raised_in_the_caller(small_model, monkeypatch):
     route_block = forest_module._route
     caller = threading.get_ident()
 
-    def failing(table, X):
+    def failing(forest, X):
         if threading.get_ident() != caller:
             raise RuntimeError("helper block failed")
-        return route_block(table, X)
+        return route_block(forest, X)
 
     monkeypatch.setattr(forest_module, "_route", failing)
     running = threading.active_count()
@@ -377,23 +382,14 @@ def _assert_grows_reference_trees(X, params):
     model = fit(Dataset(features=X, feature_names=[f"F{i}" for i in range(X.shape[1])]), params)
     reference = grow_forest(X, params)
     assert trees_of(model) == reference
-    table = flat(reference)
-    names = ("roots", "feature", "threshold", "leaf", "size", "depth", "end", "slot", "h", "code")
-    for name in names:
-        assert np.array_equal(getattr(model.forest, name), getattr(table, name)), name
-    # FlatForest casts what it is given, so the grower's own flat arrays are
-    # checked too, dtypes included, tree by tree as `n_nodes` slices them.
-    sub_n = min(params.max_subsample, len(X))
-    *grown, n_nodes = forest_module._grow_forest(
-        X, sub_n, max_tree_depth(sub_n), params.n_trees, params.seed
-    )
-    assert n_nodes.tolist() == [len(t.feature) for t in reference]
-    bounds = np.cumsum([0, *n_nodes.tolist()])
-    dtypes = (np.int32, np.float64, np.int32, np.int32)
-    for name, column, dtype in zip(Tree._fields, grown, dtypes):
-        assert column.dtype == dtype and len(column) == bounds[-1], name
-        trees = [column[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-        assert trees == [getattr(t, name) for t in reference], name
+    # The grower's slots, dtypes included, are those the loader fills from
+    # the reference trees.
+    levels = max_tree_depth(min(params.max_subsample, len(X)))
+    table = flat(reference, params.leaf_adjustment, levels)
+    assert (model.forest.n_trees, model.forest.levels) == (params.n_trees, levels)
+    for name in ("feature", "threshold", "size", "h"):
+        grown, loaded = getattr(model.forest, name), getattr(table, name)
+        assert grown.dtype == loaded.dtype and np.array_equal(grown, loaded), name
     return model
 
 
@@ -436,21 +432,24 @@ def test_fitted_table_matches_recursive_grower(seed, variant):
     }.get(variant, 256)
     params = ForestParams(n_trees=40, seed=seed, max_subsample=subsample)
     model = _assert_grows_reference_trees(X, params)
-    n_nodes = np.diff([*model.forest.roots.tolist(), model.forest.n_nodes])
+    trees = trees_of(model)
+    n_nodes = [len(tree.feature) for tree in trees]
+    deepest = max(depth for tree in trees for _, depth in walk(tree))
     if variant == "few distinct rows":
-        assert n_nodes.min() == 1
-        assert model.forest.max_depth == max_tree_depth(subsample)
+        assert min(n_nodes) == 1
+        assert deepest == max_tree_depth(subsample)
     elif variant.startswith("subsample"):
-        assert set(n_nodes.tolist()) == {2 * subsample - 1}
-        assert model.forest.max_depth == subsample - 1
+        assert set(n_nodes) == {2 * subsample - 1}
+        assert deepest == subsample - 1
 
 
-def test_node_table_subtree_ends_and_slots_follow_the_walk():
+def test_slot_table_follows_the_walk():
     # A hand-built forest: a 5-node tree, a single leaf, a tree that splits
-    # twice on one feature, and a chain down the right spine. Every node's
-    # subtree [i, end[i]) ends at the next node, in preorder, at its depth
-    # or above; its slot is T*(2**depth - 1) + t*2**depth + p, where p reads
-    # the turns from the root as binary digits, right = 1.
+    # twice on one feature, and a chain down the right spine. A node at
+    # depth k is at slot T*(2**k - 1) + t*2**k + p, where p reads the turns
+    # from the root as binary digits, right = 1: a split holds its feature
+    # and value there, and a leaf +inf, its size and h at final slot
+    # p * 2**(levels - k) of tree t. No other slot holds a split or a size.
     trees = [
         Tree(
             feature=[0, 1, -1, -1, -1],
@@ -468,23 +467,35 @@ def test_node_table_subtree_ends_and_slots_follow_the_walk():
         _chain(3, 0),
     ]
     forest = flat(trees)
-    n_trees = len(trees)
-    for t, (root, tree) in enumerate(zip(forest.roots.tolist(), trees)):
+    n_trees, levels = len(trees), 3
+    assert (forest.n_trees, forest.levels) == (n_trees, levels)
+    splits, sizes = set(), set()
+    for t, tree in enumerate(trees):
         order = list(walk(tree))
         assert [node for node, _ in order] == list(range(len(tree.feature)))
         turns = {}
         last_at_depth = {}
-        for k, (node, depth) in enumerate(order):
-            later = [j for j, (_, deeper) in enumerate(order) if j > k and deeper <= depth]
-            assert forest.end[root + node] == root + (later[0] if later else len(order))
+        for node, depth in order:
             parent = last_at_depth.get(depth - 1)
             turns[node] = 0 if depth == 0 else 2 * turns[parent] + (node != parent + 1)
             last_at_depth[depth] = node
-            slot = n_trees * ((1 << depth) - 1) + (t << depth) + turns[node]
-            assert forest.slot[root + node] == slot, (t, node)
-            assert forest.depth[root + node] == depth
-    assert forest.end[forest.roots[1]] == forest.roots[1] + 1
-    assert forest.slot[forest.roots].tolist() == list(range(n_trees))
+            p = (t << depth) + turns[node]
+            slot = n_trees * ((1 << depth) - 1) + p
+            if tree.feature[node] >= 0:
+                assert forest.feature[slot] == tree.feature[node], (t, node)
+                assert forest.threshold[slot] == tree.split[node], (t, node)
+                splits.add(slot)
+                continue
+            if depth < levels:
+                assert forest.threshold[slot] == np.inf, (t, node)
+            final = p << (levels - depth)
+            assert forest.size[final] == tree.size[node], (t, node)
+            h = depth + (average_path_normalizer(tree.size[node]) if tree.size[node] > 1 else 0)
+            assert forest.h[final] == h, (t, node)
+            sizes.add(final)
+    assert set(np.flatnonzero(np.isfinite(forest.threshold)).tolist()) == splits
+    assert set(np.flatnonzero(forest.size).tolist()) == sizes
+    assert not forest.feature[~np.isfinite(forest.threshold)].any()
 
 
 def test_growth_groups_do_not_change_the_forest(small_data, monkeypatch):
@@ -560,11 +571,10 @@ def test_streams_replay_generator_draws_bit_for_bit(start):
 def test_tree_structure_bounds(small_model):
     data, model = small_model
     cap = max_tree_depth(model.subsample_size)
-    for root, tree in zip(model.forest.roots, trees_of(model)):
+    for tree in trees_of(model):
         leaf_sizes = 0
         for node, depth in walk(tree):
             assert depth <= cap
-            assert model.forest.depth[root + node] == depth
             if tree.feature[node] < 0:
                 assert tree.size[node] >= 1
                 leaf_sizes += tree.size[node]
@@ -597,7 +607,8 @@ def test_all_identical_rows_warns_and_degenerates():
         model = fit(data, ForestParams(n_trees=5, seed=0))
     for tree in trees_of(model):
         assert tree.feature == [-1]
-    assert model.forest.max_depth == 0
+    assert model.forest.levels == max_tree_depth(6)
+    assert not np.isfinite(model.forest.threshold).any()
     assert len(set(model.scores.tolist())) == 1
 
 
@@ -748,9 +759,11 @@ def test_every_fitted_model_loads_and_scores_as_fitted(kind, n, d, base, data_se
     else:
         X = rng.choice([-8e307, -1e300, base, 1e300, 8e307], size=(n, d))
     model = _assert_grows_reference_trees(X, ForestParams(n_trees=10, seed=seed))
-    assert model.forest.size[model.forest.leaf].min() >= 1
+    assert min(s for t in trees_of(model) for f, s in zip(t.feature, t.size) if f < 0) >= 1
     reloaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     assert np.array_equal(score_samples(reloaded, X).view(np.int64), model.scores.view(np.int64))
+    # Saving re-derives each tree's preorder arrays from the slots.
+    assert model_to_dict(reloaded) == model_to_dict(model)
 
 
 def test_dataset_validation():

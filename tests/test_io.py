@@ -367,7 +367,20 @@ def test_model_rejects_trees_not_in_preorder(small_model):
         model_from_dict(doc)
     doc["trees"][0]["right"] = [4, 3, -1, -1, -1]
     doc["trees"][0]["size"] = [0, 0, 1, 1, rows - 2]
-    assert model_from_dict(doc).forest.end[:5].tolist() == [5, 4, 3, 4, 5]
+    assert model_to_dict(model_from_dict(doc))["trees"][0] == doc["trees"][0]
+
+
+def test_model_rejects_trees_deeper_than_the_cap(small_model):
+    # A chain down the right spine, one split deeper than the depth cap; every
+    # other check of a tree passes.
+    _, model = small_model
+    doc = model_to_dict(model)
+    cap, rows = model.max_depth, model.subsample_size
+    nodes = [n for k in range(cap + 1) for n in ((0, float(k), 2 * k + 2, 0), (-1, 0.0, -1, 1))]
+    nodes.append((-1, 0.0, -1, rows - cap - 1))
+    doc["trees"][0] = dict(zip(("feature", "split", "right", "size"), map(list, zip(*nodes))))
+    with pytest.raises(ValueError, match=f"depth cap {cap}"):
+        model_from_dict(doc)
 
 
 def test_model_json_preserves_label_rule_kinds(tmp_path, small_data):

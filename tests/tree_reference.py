@@ -1,11 +1,10 @@
 """Reference trees for the tests: a recursive grower and a recursive walk.
 
-Both work on the per-tree preorder arrays that model.json stores and, laid
-end to end, `FlatForest` is built from: `feature` (-1 at a leaf), `split`,
-`right` (the index of the right child, -1 at a leaf) and `size` (rows at a
-leaf, 0 at an internal node); the left child of internal node i is node
-i + 1. Neither shares code with forest.py's iterative grower, node table or
-routing kernel.
+Both work on the per-tree preorder arrays that model.json stores and
+`FlatForest` is loaded from: `feature` (-1 at a leaf), `split`, `right` (the
+index of the right child, -1 at a leaf) and `size` (rows at a leaf, 0 at an
+internal node); the left child of internal node i is node i + 1. Neither
+shares code with forest.py's iterative grower, slot table or routing kernel.
 """
 
 from typing import NamedTuple
@@ -14,7 +13,7 @@ import numpy as np
 
 from iforest_dpg.dpg import GT, LE
 from iforest_dpg.forest import FlatForest, average_path_normalizer, max_tree_depth
-from iforest_dpg.io import model_to_dict
+from iforest_dpg.io import _forest_from_preorder, model_to_dict
 
 
 class Tree(NamedTuple):
@@ -24,12 +23,16 @@ class Tree(NamedTuple):
     size: list
 
 
-def flat(trees, leaf_adjustment=True) -> FlatForest:
-    """The node table of hand-built or reference trees."""
-    return FlatForest(
-        *(np.concatenate(field) for field in zip(*trees)),
-        n_nodes=[len(tree.feature) for tree in trees],
-        leaf_adjustment=leaf_adjustment,
+def flat(trees, leaf_adjustment=True, levels=None) -> FlatForest:
+    """The forest of hand-built or reference trees, as model.json's loader
+    builds it; `levels` defaults to the deepest tree's depth."""
+    if levels is None:
+        levels = max(depth for tree in trees for _, depth in walk(tree))
+    return _forest_from_preorder(
+        [tuple(np.asarray(column) for column in tree) for tree in trees],
+        len(trees),
+        levels,
+        leaf_adjustment,
     )
 
 
