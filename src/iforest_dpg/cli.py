@@ -85,7 +85,12 @@ def _parse_injection(text: str) -> InjectionSpec:
         head, sep, body = body.partition(":")
         if not sep:
             raise ValueError(f"bad injection {text!r}: expected ':' after sample index")
-        sample = int(head[len("sample="):])
+        index = head[len("sample="):]
+        if re.fullmatch(r"\s*\d+\s*", index) is None:
+            raise ValueError(
+                f"bad injection {text!r}: sample index {index!r} is not an integer >= 0"
+            )
+        sample = int(index)
     feats: list[int] = []
     facs: list[float] = []
     dirs: list[int] = []
@@ -625,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 1
 
 

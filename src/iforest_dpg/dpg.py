@@ -24,7 +24,6 @@ from .forest import (
     ForestModel,
     SingleClassError,
     _leaf_visits,
-    _n_codes,
     _rule_to_dict,
     _transition_counts,
 )
@@ -169,16 +168,8 @@ def build_model_graph(
         raise SingleClassError("no Outlier traces remain; graph would be single-class")
     outlier_visits[deep] = 0
 
-    # Counts use the layout beside forest._route: predicate codes 0..2d-1,
-    # SOURCE = 2d, END = 2d + 1. Graph node order puts SOURCE first and
-    # moves each code up by one. END is the class terminal: INLIER in the
-    # inlier counts, OUTLIER in the outlier counts.
-    m = _n_codes(d)
-    k = 2 * d
-    c_in, c_out = (np.zeros((k + 3, k + 3), dtype=np.int64) for _ in range(2))
-    for counts, at, terminal in ((c_in, inlier_visits, k + 1), (c_out, outlier_visits, k + 2)):
-        order = np.r_[1 : k + 1, 0, terminal]
-        counts[np.ix_(order, order)] = _transition_counts(forest, at, d).reshape(m, m)
+    c_in = _transition_counts(forest, inlier_visits, d, terminal=2 * d + 1)
+    c_out = _transition_counts(forest, outlier_visits, d, terminal=2 * d + 2)
 
     metadata = {
         "n_trees": model.params.n_trees,

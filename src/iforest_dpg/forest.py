@@ -551,24 +551,20 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     )
 
 
-# Transition-count layout. With d features a route steps through M = 2d + 2
-# node codes: 2*feature + went_right for each split predicate, SOURCE = 2d
-# before the root and END = 2d + 1 after the leaf. counts[prev*M + code] is
-# the number of routes that stepped from `prev` to `code`, so a route through
-# a tree that is a single leaf adds one SOURCE -> END. Every route ends at a
-# final slot, so the counts follow from how many rows end at each: a node is
-# passed by the rows that end below it, each passing row steps into the node
-# from its parent's code, and each row at a leaf steps on to END.
+# Transition counts are kept in the node order of `dpg.DpGraph`: with d
+# features, M = 2d + 3 nodes, SOURCE = 0 before the root, 1 + 2*feature +
+# went_right for each split predicate, then the class terminals INLIER = 2d + 1
+# and OUTLIER = 2d + 2 after the leaf. counts[prev*M + node] is the number of
+# routes that stepped from `prev` to `node`, so a route through a tree that is
+# a single leaf adds one SOURCE -> terminal. Every route ends at a final slot,
+# so the counts follow from how many rows end at each: a node is passed by the
+# rows that end below it, each passing row steps into the node from its
+# parent's, and each row at a leaf steps on to its class terminal.
 
 # (tree, row) pairs routed per block, so each of a block's node, index and
 # value arrays is 128 KB whatever the number of rows. Larger blocks were no
 # faster at 50 000 x 20 and raised the peak memory of 200 x 6 fits.
 _BLOCK_PAIRS = 1 << 14
-
-
-def _n_codes(n_features: int) -> int:
-    """M, the number of node codes in the transition-count layout."""
-    return 2 * n_features + 2
 
 
 def _check_width(forest: FlatForest, n_features: int) -> None:
@@ -678,39 +674,39 @@ def _leaf_visits(forest: FlatForest, X: np.ndarray) -> np.ndarray:
 
 
 def _transition_counts(
-    forest: FlatForest, visits: np.ndarray, n_features: int
+    forest: FlatForest, visits: np.ndarray, n_features: int, terminal: int
 ) -> np.ndarray:
-    """Transition counts (int64, length M*M) of the routes that end as `visits` says.
+    """Transition counts (int64, M x M) of the routes that end as `visits`
+    says, each stepping on to node `terminal` from its leaf.
 
     `visits[j]` is the number of routes that end at final slot j. The routes
     through a slot are those through its two children, summed pairwise from
     the last level up. Counting is in integers, so the result does not
     depend on the order of trees or rows.
     """
-    m = _n_codes(n_features)
+    m = 2 * n_features + 3
     through = [visits]
     for _ in range(forest.levels):
         below = through[-1]
         through.append(below[0::2] + below[1::2])
     counts = np.zeros(m * m, dtype=np.int64)
-    # The code of the edge into each slot of a level: SOURCE at the roots,
-    # 2*feature + went_right below a split, and the parent's below a leaf.
-    into = np.full(forest.n_trees, m - 2, dtype=np.intp)
+    # The node of the edge into each slot of a level: SOURCE at the roots,
+    # the split predicate's below a split, and the parent's below a leaf.
+    into = np.zeros(forest.n_trees, dtype=np.intp)
     for k in range(forest.levels):
         at = forest.level(k)
         split = np.flatnonzero(np.isfinite(forest.threshold[at]))
-        left = 2 * forest.feature[at][split]
-        # A route through a split steps on to the code of the child it went to.
+        left = 1 + 2 * forest.feature[at][split]
+        # A route through a split steps on to the node of the child it went to.
         kids = through[-2 - k]
         np.add.at(counts, into[split] * m + left, kids[2 * split])
         np.add.at(counts, into[split] * m + left + 1, kids[2 * split + 1])
         into = into.repeat(2)
         into[2 * split] = left
         into[2 * split + 1] = left + 1
-    # A route steps on to END from the leaf it ends at.
     ended = np.flatnonzero(visits)
-    np.add.at(counts, into[ended] * m + m - 1, visits[ended])
-    return counts
+    np.add.at(counts, into[ended] * m + terminal, visits[ended])
+    return counts.reshape(m, m)
 
 
 def _mean_paths(

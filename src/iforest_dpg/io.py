@@ -5,11 +5,12 @@ ASCII decimal or exponent number, inf or nan (the last two rejected as
 non-finite), optionally quoted and padded with whitespace. Only a file that
 fails is scanned again cell by cell, to name the first fault by file row.
 
-All JSON documents carry a top-level schema_version: 2 for model.json, which
-stores each tree as preorder arrays, is checked for structure on load and is
-written as one compact line, and 1 for the rest, which are indented. Floats
-are written with Python's shortest round-trip repr, so every persisted real
-value reloads bit-exactly. DOT output is one statement per line with LF
+All JSON documents carry a top-level schema_version: 3 for model.json, which
+stores each tree's splits by heap index, the numbering of `FlatForest`'s
+slots within a tree, is checked for structure on load and is written as one
+compact line, and 1 for the rest, which are indented. Floats are written
+with Python's shortest round-trip repr, so every persisted real value
+reloads bit-exactly. DOT output is one statement per line with LF
 endings and is a pure function of its inputs.
 """
 
@@ -21,7 +22,7 @@ import json
 import math
 import platform
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
@@ -52,8 +53,8 @@ from .forest import (
 from .metrics import IopReport, rank_report
 
 SCHEMA_VERSION = 1
-# model.json alone is at version 2: per-tree preorder arrays and a cutoff.
-MODEL_SCHEMA_VERSION = 2
+# model.json alone is at version 3: trees by heap index, and a cutoff.
+MODEL_SCHEMA_VERSION = 3
 
 # Label tokens (lower-cased, stripped) as loadtxt's label converter reads them.
 _LABEL_CODES = {"o": 1.0, "outlier": 1.0, "1": 1.0, "n": 0.0, "inlier": 0.0, "0": 0.0}
@@ -315,45 +316,77 @@ def _rule_from_dict(obj: dict[str, Any]) -> ScoreThreshold | Contamination:
     raise ValueError(f"unknown label rule kind: {kind!r}")
 
 
-def _tree_from_dict(
-    obj: dict[str, Any], subsample_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One tree's (feature, split, right, size), checked to form a tree.
+def _heap_slots(n_trees: int, levels: int, tree: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The slots of heap indices `node` of trees `tree` in a forest of
+    `n_trees` trees and `levels` levels: heap index 2**k - 1 + p, position p
+    of level k, of tree t is slot T*(2**k - 1) + t*2**k + p."""
+    level = np.repeat(np.arange(levels), 1 << np.arange(levels))[node]
+    return (n_trees - 1) * ((1 << level) - 1) + (tree << level) + node
 
-    Leaves have feature -1, right -1 and size >= 1, the sizes summing to the
-    subsample size; internal nodes have a feature >= 0, a finite split, size
-    0, and a right child after their left child i + 1 and inside the tree.
-    Every node but the root is the child of exactly one node. That the nodes
-    are in preorder is checked as they are placed in the forest's slots.
+
+# A tree's arrays in model.json: one entry per split, and `size` one more.
+_TREE_KEYS = ("node", "feature", "split", "size")
+
+
+def _slots_from_trees(trees: list, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`FlatForest`'s (feature, threshold, size) slots, `levels` levels deep,
+    of trees as model.json stores them; a list that is not such trees is a
+    ValueError.
+
+    A tree lists its splits by heap index in `node`, increasing from the
+    root 0, where the children of i are 2i + 1 and 2i + 2 and position p of
+    level k is 2**k - 1 + p; then their `feature` and `split`; then `size`,
+    the subsample rows of each leaf from left to right. Each split is above
+    the depth cap and, but for the root, the child of a split; features are
+    in [0, int32 max), splits finite, sizes at least 1. Trees that pass are
+    binary trees with one more leaf than splits, and each has one such form,
+    so a loaded forest saves as the same trees.
     """
-    feature = _array(obj, "feature", (int,), np.int64)
-    split = _array(obj, "split", (int, float), np.float64)
-    right = _array(obj, "right", (int,), np.int64)
-    size = _array(obj, "size", (int,), np.int64)
-    n = len(feature)
-    if n == 0 or not len(split) == len(right) == len(size) == n:
-        raise _malformed("a tree's arrays are empty or differ in length")
-    node = np.arange(n)
-    leaf = feature == -1
-    inner = ~leaf
-    if np.any(feature < -1) or np.any(feature >= np.iinfo(np.int32).max):
+    n_trees = len(trees)
+    joined: dict[str, list] = {key: [] for key in _TREE_KEYS}
+    n_splits = np.empty(n_trees, dtype=np.int64)
+    for t, tree in enumerate(trees):
+        n_splits[t] = len(_value(tree, "node", (list,)))
+        for key in _TREE_KEYS:
+            values = _value(tree, key, (list,))
+            if len(values) != n_splits[t] + (key == "size"):
+                raise _malformed("a tree's arrays are not one entry per node and one more size")
+            joined[key] += values
+    node = _array(joined, "node", (int,), np.int64)
+    feature = _array(joined, "feature", (int,), np.int64)
+    split = _array(joined, "split", (int, float), np.float64)
+    size = _array(joined, "size", (int,), np.int64)
+    root = np.zeros(len(node), dtype=bool)
+    root[(n_splits.cumsum() - n_splits)[n_splits > 0]] = True
+    if np.any(node[root]) or np.any(node <= np.where(root, -1, np.roll(node, 1))):
+        raise _malformed("a tree's nodes do not increase from 0")
+    if np.any(node >= (1 << levels) - 1):
+        raise _malformed(f"a tree is deeper than the depth cap {levels}")
+    if np.any((feature < 0) | (feature >= np.iinfo(np.int32).max)):
         raise _malformed("a split feature is out of range")
-    if np.any(right[leaf] != -1) or np.any(
-        (right[inner] <= node[inner] + 1) | (right[inner] >= n)
-    ):
-        raise _malformed("a right child index points backward or out of its tree")
-    parents = np.bincount(np.concatenate([node[inner] + 1, right[inner]]), minlength=n)
-    if not np.array_equal(parents, node > 0):
-        raise _malformed("a node is not the child of exactly one node")
-    if not np.all(np.isfinite(split[inner])):
+    if not np.all(np.isfinite(split)):
         raise _malformed("a split value is not finite")
-    if np.any(size[inner] != 0) or np.any((size[leaf] < 1) | (size[leaf] > subsample_size)):
-        raise _malformed("a leaf size is out of range or an internal node has a size")
-    if size.sum() != subsample_size:
-        raise _malformed(
-            f"a tree's leaf sizes sum to {size.sum()}, not the subsample size {subsample_size}"
-        )
-    return feature, split, right, size
+    if np.any((size < 1) | (size > np.iinfo(np.int32).max)):
+        raise _malformed("a leaf size is out of range")
+    slot = _heap_slots(n_trees, levels, np.arange(n_trees).repeat(n_splits), node)
+    slot_feature = np.zeros(n_trees * ((1 << levels) - 1), dtype=np.int32)
+    slot_threshold = np.full(len(slot_feature), np.inf)
+    slot_feature[slot] = feature
+    slot_threshold[slot] = split
+    # The parent of slot s below the roots is slot (s - T) // 2.
+    if not np.all(np.isfinite(slot_threshold[(slot[~root] - n_trees) // 2])):
+        raise _malformed("a split's parent is not a split")
+    # Each leaf's size goes at the final slot its left-going route ends at:
+    # from the roots down, a slot's left child is marked if it is, and its
+    # right child if it splits.
+    ends = np.ones(n_trees, dtype=bool)
+    for k in range(levels):
+        first = n_trees * ((1 << k) - 1)
+        inner = np.isfinite(slot_threshold[first : first + (n_trees << k)])
+        ends = np.stack([ends, inner], axis=1).ravel()
+    slot_size = np.zeros(n_trees << levels, dtype=np.int32)
+    slot_size[ends] = size
+    return slot_feature, slot_threshold, slot_size
 
 
 def _model_head(model: ForestModel) -> dict[str, Any]:
@@ -374,92 +407,26 @@ def _model_head(model: ForestModel) -> dict[str, Any]:
 
 
 def _tree_dicts(forest: FlatForest) -> Iterator[dict[str, list]]:
-    """Each tree's preorder arrays, as model.json stores them.
-
-    Each node's subtree size is summed pairwise from the last level up, and
-    its preorder position set from the roots down: the left child of the
-    node at v is at v + 1, the right child at v + 1 + the left child's
-    subtree size.
-    """
-    n_trees, levels = forest.n_trees, forest.levels
-    splits = [np.isfinite(forest.threshold[forest.level(k)]) for k in range(levels)]
-    nodes = [np.ones(n_trees, dtype=bool), *(inner.repeat(2) for inner in splits)]
-    subtree = [nodes[-1].astype(np.int64)]
-    for k in reversed(range(levels)):
-        subtree.insert(0, subtree[0][0::2] + subtree[0][1::2] + nodes[k])
-    n_nodes = subtree[0]
-    roots = n_nodes.cumsum() - n_nodes
-    feature = np.full(int(n_nodes.sum()), -1, dtype=np.int64)
-    split = np.zeros(len(feature))
-    right = np.full(len(feature), -1, dtype=np.int64)
-    size = np.zeros(len(feature), dtype=np.int64)
-    # Each slot's position in the trees laid end to end, used only at nodes.
-    position = roots
-    for k, inner in enumerate(splits):
-        leaf = np.flatnonzero(nodes[k] & ~inner)
-        size[position[leaf]] = forest.size[leaf << (levels - k)]
-        kids = np.empty(n_trees << (k + 1), dtype=np.int64)
-        kids[0::2] = position + 1
-        kids[1::2] = kids[0::2] + subtree[k + 1][0::2]
-        at = np.flatnonzero(inner)
-        feature[position[at]] = forest.feature[forest.level(k)][at]
-        split[position[at]] = forest.threshold[forest.level(k)][at]
-        right[position[at]] = kids[2 * at + 1] - roots[at >> k]
-        position = kids
-    size[position[nodes[-1]]] = forest.size[nodes[-1]]
-    for a, b in zip(roots.tolist(), (roots + n_nodes).tolist()):
+    """Each tree as model.json stores it, `_slots_from_trees`'s input: the
+    heap index, feature and value of each slot that splits, in heap order,
+    and the sizes of its final slots that are not 0, which are its leaves'
+    from left to right."""
+    n_trees, width = forest.n_trees, (1 << forest.levels) - 1
+    tree, node = np.arange(n_trees).repeat(width), np.tile(np.arange(width), n_trees)
+    slot = _heap_slots(n_trees, forest.levels, tree, node)
+    split = np.isfinite(forest.threshold[slot])
+    tree, node, slot = tree[split], node[split].tolist(), slot[split]
+    feature, threshold = forest.feature[slot].tolist(), forest.threshold[slot].tolist()
+    size = forest.size[forest.size > 0].tolist()
+    start = 0
+    for t, end in enumerate(np.bincount(tree, minlength=n_trees).cumsum().tolist()):
         yield {
-            "feature": feature[a:b].tolist(),
-            "split": split[a:b].tolist(),
-            "right": right[a:b].tolist(),
-            "size": size[a:b].tolist(),
+            "node": node[start:end],
+            "feature": feature[start:end],
+            "split": threshold[start:end],
+            "size": size[start + t : end + t + 1],
         }
-
-
-def _forest_from_preorder(
-    trees: Iterable[tuple[np.ndarray, ...]], n_trees: int, levels: int, leaf_adjustment: bool
-) -> FlatForest:
-    """The forest of `levels` levels that holds `n_trees` trees given as
-    model.json's preorder arrays (feature, split, right, size), in which
-    each node but the root is the child of one node before it.
-
-    Each tree is placed as it comes, so only one tree's arrays need be held
-    at a time, its nodes level by level from the root down, tracking each
-    node's subtree end: a left child's subtree ends where its right sibling
-    starts, and a right child's where its parent's does. A tree deeper than
-    `levels`, or whose nodes are not in preorder, where each leaf's subtree
-    is the leaf alone, is a ValueError.
-    """
-    slot_feature = np.zeros(n_trees * ((1 << levels) - 1), dtype=np.int32)
-    slot_threshold = np.full(len(slot_feature), np.inf)
-    slot_size = np.zeros(n_trees << levels, dtype=np.int32)
-    for t, (feature, split, right, size) in enumerate(trees):
-        end = np.empty(len(feature), dtype=np.int64)
-        end[0] = len(feature)
-        # The nodes of level k and their slots, counted from the level's first.
-        here, slot = np.zeros(1, dtype=np.int64), np.array([t])
-        for k in range(levels + 1):
-            inner = feature[here] >= 0
-            slot_size[slot[~inner] << (levels - k)] = size[here[~inner]]
-            here, slot = here[inner], slot[inner]
-            if not here.size:
-                break
-            if k == levels:
-                raise _malformed(f"a tree is deeper than the depth cap {levels}")
-            at = n_trees * ((1 << k) - 1) + slot
-            slot_feature[at] = feature[here]
-            slot_threshold[at] = split[here]
-            left, right_child = here + 1, right[here]
-            end[left] = right_child
-            end[right_child] = end[here]
-            here = np.concatenate([left, right_child])
-            slot = np.concatenate([2 * slot, 2 * slot + 1])
-        leaves = np.flatnonzero(feature < 0)
-        if not np.array_equal(end[leaves], leaves + 1):
-            raise _malformed("a tree's nodes are not in preorder")
-    return FlatForest(
-        n_trees, levels, slot_feature, slot_threshold, slot_size, leaf_adjustment
-    )
+        start = end
 
 
 def model_to_dict(model: ForestModel) -> dict[str, Any]:
@@ -474,8 +441,8 @@ def model_to_dict(model: ForestModel) -> dict[str, Any]:
 def model_from_dict(obj: dict[str, Any]) -> ForestModel:
     """Rebuild a model; a missing, mistyped or inconsistent field is a ValueError.
 
-    Files of another schema_version, model.json version 1 included, are
-    rejected rather than converted.
+    Files of another schema_version, model.json versions 1 and 2 included,
+    are rejected rather than converted.
     """
     if not isinstance(obj, dict):
         raise _malformed(f"expected an object, got {type(obj).__name__}")
@@ -506,11 +473,16 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         if len(trees) != params.n_trees:
             raise _malformed(f"{len(trees)} trees for n_trees {params.n_trees}")
         subsample_size = min(params.max_subsample, n_train)
-        forest = _forest_from_preorder(
-            (_tree_from_dict(t, subsample_size) for t in trees),
-            len(trees),
-            max_tree_depth(subsample_size),
-            params.leaf_adjustment,
+        levels = max_tree_depth(subsample_size)
+        feature, threshold, size = _slots_from_trees(trees, levels)
+        sums = size.reshape(len(trees), -1).sum(axis=1)
+        if np.any(sums != subsample_size):
+            raise _malformed(
+                f"a tree's leaf sizes sum to {sums[sums != subsample_size][0]}, "
+                f"not the subsample size {subsample_size}"
+            )
+        forest = FlatForest(
+            len(trees), levels, feature, threshold, size, params.leaf_adjustment
         )
         return ForestModel(
             forest=forest,

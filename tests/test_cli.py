@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iforest_dpg import cli
 from iforest_dpg.cli import main
+from iforest_dpg.forest import max_tree_depth
 
 
 def run(capsys, *argv):
@@ -78,10 +80,11 @@ def test_gen_rejects_tiny_sample_count(tmp_path, capsys):
 
 
 def test_gen_rejects_bad_injection_grammar(tmp_path, capsys):
-    for spec in ("0*4", "sample=3 0+4", "0+", "x+4"):
+    specs = ("0*4", "sample=3 0+4", "0+", "x+4", "sample=x:0+4", "sample=-1:0+4", "sample=:0+4")
+    for spec in specs:
         code, _, err = run(capsys, "gen", "--inject", spec, "--out", str(tmp_path))
         assert code == 1, spec
-        assert "injection" in err
+        assert err.startswith("error: bad injection") and repr(spec) in err, err
 
 
 def test_gen_fixture_conflicts_with_custom_flags(tmp_path, capsys):
@@ -214,6 +217,18 @@ def test_train_rejects_single_row(tmp_path, capsys, fixture_csv):
     assert "need at least 2 samples" in err
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, fixture_csv, monkeypatch):
+    # A fit too large to allocate, e.g. --trees 100000000000, fails in numpy;
+    # the stand-in raises at once, so the test allocates nothing.
+    def fit(data, params):
+        raise MemoryError("Unable to allocate 149. TiB for an array")
+
+    monkeypatch.setattr(cli, "fit", fit)
+    code, _, err = run(capsys, "train", str(fixture_csv), "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert err == "error: out of memory: Unable to allocate 149. TiB for an array\n"
+
+
 def test_score_labels_a_lone_row_with_the_training_cutoff(tmp_path, capsys, fixture_csv):
     # Contamination picks the outliers among the training rows; a row scored
     # on its own keeps the label the training-score cutoff gives it.
@@ -316,11 +331,15 @@ def _mutate(doc, data):
         )
         _parent(doc, path)[path[-1]] = value[: data.draw(st.integers(0, len(value) - 1))]
     elif action == "index":
-        tree = data.draw(st.sampled_from(doc["trees"]))
-        inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
-        i = data.draw(st.sampled_from(inner))
-        n = len(tree["feature"])
-        tree["right"][i] = data.draw(st.integers(max_value=i + 1) | st.integers(min_value=n))
+        # Only an index that no valid tree can have: one at or before the
+        # node before it, or at or below the depth cap.
+        tree = data.draw(st.sampled_from([t for t in doc["trees"] if t["node"]]))
+        i = data.draw(st.integers(0, len(tree["node"]) - 1))
+        previous = tree["node"][i - 1] if i else -1
+        cap = max_tree_depth(min(doc["params"]["max_subsample"], doc["n_train"]))
+        tree["node"][i] = data.draw(
+            st.integers(max_value=previous) | st.integers(min_value=(1 << cap) - 1)
+        )
     else:
         path, value = data.draw(st.sampled_from(paths))
         other = [
@@ -333,8 +352,9 @@ def _mutate(doc, data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_score_rejects_every_mutated_model(saved_model, data):
-    # Drop a key, truncate an array, point a child index backward or out of
-    # its tree, or change a type: loading must fail with exit 1, no traceback.
+    # Drop a key, truncate an array, move a split's heap index back or past
+    # the depth cap, or change a type: loading must fail with exit 1, no
+    # traceback.
     csv_path, doc = saved_model
     doc = json.loads(json.dumps(doc))
     _mutate(doc, data)

@@ -154,7 +154,7 @@ def _chain(depth, feature):
 
 def test_route_matches_object_walk_on_edge_cases():
     # Every row but rows 4, 6 and 7 sits exactly on a split value, which
-    # routes left; a single-leaf tree's routes are SOURCE -> END; the third
+    # routes left; a single-leaf tree's routes are SOURCE -> OUTLIER; the third
     # tree splits twice on one feature, a self-loop transition. The other
     # forests mix a single leaf with a tree at the depth cap of a 256-row
     # subsample, which the last two rows reach, and hold only leaves.
@@ -179,8 +179,9 @@ def test_route_matches_object_walk_on_edge_cases():
         [[0.5, -1.0], [0.5, 0.0], [0.9, 2.0], [0.1, 3.0], [0.2, 3.5], [0.5, 2.0],
          [0.3, 6.5], [0.3, 9.0]]
     )
-    m = 2 * X.shape[1] + 2
-    source, end = m - 2, m - 1
+    # Graph node order: SOURCE, the predicates, INLIER, OUTLIER.
+    m = 2 * X.shape[1] + 3
+    source, end = 0, m - 1
     for forest_trees in (trees, [leaf, deep, trees[0]], [leaf, leaf]):
         for adjust in (False, True):
             forest = flat(forest_trees, adjust)
@@ -203,13 +204,13 @@ def test_route_matches_object_walk_on_edge_cases():
     for tree in (*trees, deep):
         single = flat([tree])
         visits = np.bincount(_route(single, X)[0], minlength=len(single.h))
-        expected = np.zeros(m * m, dtype=np.int64)
+        expected = np.zeros((m, m), dtype=np.int64)
         for x in X:
-            codes = [2 * f + (sign == GT) for f, sign, _ in route(tree, x)[0]]
+            codes = [1 + 2 * f + (sign == GT) for f, sign, _ in route(tree, x)[0]]
             chain = [source, *codes, end]
             for a, b in zip(chain, chain[1:]):
-                expected[a * m + b] += 1
-        assert np.array_equal(_transition_counts(single, visits, X.shape[1]), expected)
+                expected[a, b] += 1
+        assert np.array_equal(_transition_counts(single, visits, X.shape[1], end), expected)
     first = flat(trees[:1], leaf_adjustment=False)
     assert first.h[_route(first, X)[0, 0]] == 2  # (0.5, -1.0): left, left
 
@@ -224,18 +225,19 @@ def _final_slot(t, steps, levels):
     return ((t << len(steps)) + p) << (levels - len(steps))
 
 
-def _stepwise_counts(trees, X, keep):
-    """Transition counts by walking each kept (tree, row) route step by step."""
-    m = 2 * X.shape[1] + 2
-    counts = np.zeros(m * m, dtype=np.int64)
+def _stepwise_counts(trees, X, keep, terminal):
+    """Transition counts by walking each kept (tree, row) route step by step,
+    in graph node order, each route ending at node `terminal`."""
+    m = 2 * X.shape[1] + 3
+    counts = np.zeros((m, m), dtype=np.int64)
     for tree in trees:
         for x in X:
             steps, _ = route(tree, x)
             if not keep(len(steps)):
                 continue
-            chain = [m - 2, *(2 * f + (sign == GT) for f, sign, _ in steps), m - 1]
+            chain = [0, *(1 + 2 * f + (sign == GT) for f, sign, _ in steps), terminal]
             for a, b in zip(chain, chain[1:]):
-                counts[a * m + b] += 1
+                counts[a, b] += 1
     return counts
 
 
@@ -252,17 +254,18 @@ def test_transition_counts_match_stepwise_routes(seed):
     forest = model.forest
     trees = trees_of(model)
     cap = model.max_depth
+    inlier, outlier = 2 * d + 1, 2 * d + 2
     visits = np.bincount(_route(forest, X).ravel(), minlength=len(forest.h))
     assert np.array_equal(
-        _transition_counts(forest, visits, d),
-        _stepwise_counts(trees, X, lambda k: True),
+        _transition_counts(forest, visits, d, inlier),
+        _stepwise_counts(trees, X, lambda k: True, inlier),
     )
     assert np.array_equal(model.train_visits, visits)
     subset = X[rng.choice(n, size=17, replace=False)]
     sub_visits = np.bincount(_route(forest, subset).ravel(), minlength=len(forest.h))
     assert np.array_equal(
-        _transition_counts(forest, sub_visits, d),
-        _stepwise_counts(trees, subset, lambda k: True),
+        _transition_counts(forest, sub_visits, d, outlier),
+        _stepwise_counts(trees, subset, lambda k: True, outlier),
     )
     deep_visits = np.zeros_like(sub_visits)
     for t, tree in enumerate(trees):
@@ -272,8 +275,8 @@ def test_transition_counts_match_stepwise_routes(seed):
                 deep_visits[_final_slot(t, steps, forest.levels)] += 1
     assert deep_visits.sum() > 0
     assert np.array_equal(
-        _transition_counts(forest, deep_visits, d),
-        _stepwise_counts(trees, subset, lambda k: k >= cap),
+        _transition_counts(forest, deep_visits, d, outlier),
+        _stepwise_counts(trees, subset, lambda k: k >= cap, outlier),
     )
 
 
@@ -762,7 +765,7 @@ def test_every_fitted_model_loads_and_scores_as_fitted(kind, n, d, base, data_se
     assert min(s for t in trees_of(model) for f, s in zip(t.feature, t.size) if f < 0) >= 1
     reloaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     assert np.array_equal(score_samples(reloaded, X).view(np.int64), model.scores.view(np.int64))
-    # Saving re-derives each tree's preorder arrays from the slots.
+    # Saving gathers each tree's splits and leaf sizes from the slots again.
     assert model_to_dict(reloaded) == model_to_dict(model)
 
 

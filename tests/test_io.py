@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -317,19 +318,32 @@ def test_model_json_is_one_compact_line(tmp_path, small_model):
     )
 
 
+_PARAMS = {
+    "n_trees": 1,
+    "max_subsample": 256,
+    "seed": 0,
+    "leaf_adjustment": True,
+    "label_rule": {"kind": "score_threshold", "threshold": 0.5},
+}
 # A version-1 model.json: one nested object per tree.
 _V1_MODEL = {
     "schema_version": 1,
-    "params": {
-        "n_trees": 1,
-        "max_subsample": 256,
-        "seed": 0,
-        "leaf_adjustment": True,
-        "label_rule": {"kind": "score_threshold", "threshold": 0.5},
-    },
+    "params": _PARAMS,
     "n_train": 2,
     "trees": [
         {"feature": 0, "split": 0.5, "left": {"size": 1}, "right": {"size": 1}}
+    ],
+    "scores": [0.5, 0.5],
+    "labels": ["Outlier", "Outlier"],
+}
+# A version-2 model.json: per-tree preorder arrays.
+_V2_MODEL = {
+    "schema_version": 2,
+    "params": _PARAMS,
+    "n_train": 2,
+    "cutoff": 0.5,
+    "trees": [
+        {"feature": [0, -1, -1], "split": [0.5, 0.0, 0.0], "right": [2, -1, -1], "size": [0, 1, 1]}
     ],
     "scores": [0.5, 0.5],
     "labels": ["Outlier", "Outlier"],
@@ -338,8 +352,9 @@ _V1_MODEL = {
 
 def test_model_rejects_wrong_schema_version(small_model):
     _, model = small_model
-    for version, doc in ((99, {**model_to_dict(model), "schema_version": 99}), (1, _V1_MODEL)):
-        with pytest.raises(ValueError, match=f"schema_version: {version}"):
+    wrong = {**model_to_dict(model), "schema_version": 99}
+    for version, doc in ((99, wrong), (1, _V1_MODEL), (2, _V2_MODEL)):
+        with pytest.raises(ValueError, match=f"schema_version: {version}.*train the model again"):
             model_from_dict(doc)
 
 
@@ -349,38 +364,85 @@ def test_model_rejects_documents_that_are_not_objects():
             model_from_dict(doc)
 
 
-def test_model_rejects_trees_not_in_preorder(small_model):
-    # Node 0's right child 3 comes before node 1's right child 4, so node 1's
-    # subtree {1, 2, 4} is not a range of the table. Every other check of a
-    # tree passes: each node but the root has one parent, and right children
-    # come after their left siblings.
-    _, model = small_model
+def _with_tree(model, **arrays):
+    """model.json of `model` with its first tree replaced by a root split
+    whose right child splits, then by `arrays`; the tree as first built
+    loads and saves as itself."""
     doc = model_to_dict(model)
-    rows = model.subsample_size
-    doc["trees"][0] = {
-        "feature": [0, 1, -1, -1, -1],
-        "split": [0.0, 0.0, 0.0, 0.0, 0.0],
-        "right": [3, 4, -1, -1, -1],
-        "size": [0, 0, 1, 1, rows - 2],
-    }
-    with pytest.raises(ValueError, match="not in preorder"):
-        model_from_dict(doc)
-    doc["trees"][0]["right"] = [4, 3, -1, -1, -1]
-    doc["trees"][0]["size"] = [0, 0, 1, 1, rows - 2]
-    assert model_to_dict(model_from_dict(doc))["trees"][0] == doc["trees"][0]
+    tree = {"node": [0, 2], "feature": [0, 1], "split": [0.0, 1.0], "size": [1, 1, 0]}
+    tree["size"][-1] = model.subsample_size - 2
+    doc["trees"][0] = tree
+    assert model_to_dict(model_from_dict(doc))["trees"][0] == tree
+    doc["trees"][0] = {**tree, **arrays}
+    return doc
+
+
+def test_model_rejects_a_split_whose_parent_does_not_split(small_model):
+    # Node 4's parent 1 is a leaf; every other check of the tree passes.
+    _, model = small_model
+    with pytest.raises(ValueError, match="a split's parent is not a split"):
+        model_from_dict(_with_tree(model, node=[0, 4]))
+
+
+def test_model_rejects_nodes_that_do_not_increase_from_0(small_model):
+    # Sorted, the first two lists are a valid tree; the last one has no root.
+    _, model = small_model
+    three = {"feature": [0, 1, 1], "split": [0.0, 1.0, 2.0], "size": [1, 1, 1, 0]}
+    three["size"][-1] = model.subsample_size - 3
+    for node in ([0, 2, 1], [0, 2, 2], [1, 3, 4]):
+        with pytest.raises(ValueError, match="nodes do not increase from 0"):
+            model_from_dict(_with_tree(model, node=node, **three))
 
 
 def test_model_rejects_trees_deeper_than_the_cap(small_model):
-    # A chain down the right spine, one split deeper than the depth cap; every
-    # other check of a tree passes.
+    # A chain down the left spine, one split deeper than the depth cap; every
+    # other check of the tree passes, and the chain one split shorter loads.
     _, model = small_model
-    doc = model_to_dict(model)
     cap, rows = model.max_depth, model.subsample_size
-    nodes = [n for k in range(cap + 1) for n in ((0, float(k), 2 * k + 2, 0), (-1, 0.0, -1, 1))]
-    nodes.append((-1, 0.0, -1, rows - cap - 1))
-    doc["trees"][0] = dict(zip(("feature", "split", "right", "size"), map(list, zip(*nodes))))
-    with pytest.raises(ValueError, match=f"depth cap {cap}"):
-        model_from_dict(doc)
+    for depth in (cap, cap + 1):
+        doc = _with_tree(
+            model,
+            node=[(1 << k) - 1 for k in range(depth)],
+            feature=[0] * depth,
+            split=[-float(k) for k in range(depth)],
+            size=[*[1] * depth, rows - depth],
+        )
+        if depth == cap:
+            assert model_to_dict(model_from_dict(doc))["trees"][0] == doc["trees"][0]
+            continue
+        with pytest.raises(ValueError, match=f"deeper than the depth cap {cap}"):
+            model_from_dict(doc)
+
+
+def test_model_rejects_a_wrong_number_of_leaf_sizes(small_model):
+    _, model = small_model
+    rows = model.subsample_size
+    for size in ([1, rows - 1], [1, 1, 1, rows - 3]):
+        with pytest.raises(ValueError, match="one more size"):
+            model_from_dict(_with_tree(model, size=size))
+
+
+def test_model_rejects_leaf_sizes_that_miss_the_subsample_size(small_model):
+    _, model = small_model
+    rows = model.subsample_size
+    with pytest.raises(ValueError, match=f"sum to {rows + 1}, not the subsample size {rows}"):
+        model_from_dict(_with_tree(model, size=[1, 2, rows - 2]))
+
+
+def test_model_rejects_out_of_range_features_splits_and_sizes(small_model):
+    _, model = small_model
+    rows = model.subsample_size
+    for arrays, message in (
+        ({"feature": [0, -1]}, "split feature is out of range"),
+        ({"feature": [0, 2**31 - 1]}, "split feature is out of range"),
+        ({"split": [0.0, math.nan]}, "split value is not finite"),
+        ({"split": [0.0, math.inf]}, "split value is not finite"),
+        ({"size": [0, 2, rows - 2]}, "leaf size is out of range"),
+        # As int32 slot sizes, these would wrap around to a valid tree.
+        ({"size": [1, 1, 2**32 + rows - 2]}, "leaf size is out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(_with_tree(model, **arrays))
 
 
 def test_model_json_preserves_label_rule_kinds(tmp_path, small_data):

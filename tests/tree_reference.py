@@ -1,10 +1,12 @@
 """Reference trees for the tests: a recursive grower and a recursive walk.
 
-Both work on the per-tree preorder arrays that model.json stores and
-`FlatForest` is loaded from: `feature` (-1 at a leaf), `split`, `right` (the
-index of the right child, -1 at a leaf) and `size` (rows at a leaf, 0 at an
-internal node); the left child of internal node i is node i + 1. Neither
-shares code with forest.py's iterative grower, slot table or routing kernel.
+Both work on per-tree preorder arrays: `feature` (-1 at a leaf), `split`,
+`right` (the index of the right child, -1 at a leaf) and `size` (rows at a
+leaf, 0 at an internal node); the left child of internal node i is node
+i + 1. Two recursive converters map them to and from the trees model.json
+stores, splits by heap index and leaf sizes left to right, through which
+`flat` builds a `FlatForest` and `trees_of` reads a model. None of it shares
+code with forest.py's iterative grower, slot table or routing kernel.
 """
 
 from typing import NamedTuple
@@ -13,7 +15,7 @@ import numpy as np
 
 from iforest_dpg.dpg import GT, LE
 from iforest_dpg.forest import FlatForest, average_path_normalizer, max_tree_depth
-from iforest_dpg.io import _forest_from_preorder, model_to_dict
+from iforest_dpg.io import _slots_from_trees, model_to_dict
 
 
 class Tree(NamedTuple):
@@ -23,22 +25,57 @@ class Tree(NamedTuple):
     size: list
 
 
+def to_model_json(tree) -> dict:
+    """The preorder tree as model.json stores it."""
+    splits, sizes = [], []
+
+    def node(i, heap):
+        if tree.feature[i] < 0:
+            sizes.append(tree.size[i])
+            return
+        splits.append((heap, tree.feature[i], tree.split[i]))
+        node(i + 1, 2 * heap + 1)
+        node(tree.right[i], 2 * heap + 2)
+
+    node(0, 0)
+    heaps, features, values = map(list, zip(*sorted(splits))) if splits else ([], [], [])
+    return {"node": heaps, "feature": features, "split": values, "size": sizes}
+
+
+def from_model_json(doc) -> Tree:
+    """The preorder tree of a tree as model.json stores it."""
+    splits = dict(zip(doc["node"], zip(doc["feature"], doc["split"])))
+    sizes = iter(doc["size"])
+    tree = Tree([], [], [], [])
+
+    def node(heap):
+        i = len(tree.feature)
+        if heap not in splits:
+            for column, value in zip(tree, (-1, 0.0, -1, next(sizes))):
+                column.append(value)
+            return
+        for column, value in zip(tree, (*splits[heap], -1, 0)):
+            column.append(value)
+        node(2 * heap + 1)
+        tree.right[i] = len(tree.feature)
+        node(2 * heap + 2)
+
+    node(0)
+    return tree
+
+
 def flat(trees, leaf_adjustment=True, levels=None) -> FlatForest:
-    """The forest of hand-built or reference trees, as model.json's loader
-    builds it; `levels` defaults to the deepest tree's depth."""
+    """The forest of hand-built or reference trees, placed as model.json's
+    loader places them; `levels` defaults to the deepest tree's depth."""
     if levels is None:
         levels = max(depth for tree in trees for _, depth in walk(tree))
-    return _forest_from_preorder(
-        [tuple(np.asarray(column) for column in tree) for tree in trees],
-        len(trees),
-        levels,
-        leaf_adjustment,
-    )
+    slots = _slots_from_trees([to_model_json(tree) for tree in trees], levels)
+    return FlatForest(len(trees), levels, *slots, leaf_adjustment)
 
 
 def trees_of(model) -> list[Tree]:
-    """The model's trees as preorder arrays, in their model.json form."""
-    return [Tree(**t) for t in model_to_dict(model)["trees"]]
+    """The model's trees as preorder arrays, read from their model.json form."""
+    return [from_model_json(t) for t in model_to_dict(model)["trees"]]
 
 
 def grow(sub, depth_cap, rng) -> Tree:
