@@ -17,6 +17,7 @@ from iforest_dpg import (
     Contamination,
     Dataset,
     ForestParams,
+    INLIER,
     OUTLIER,
     ScoreThreshold,
     build_model_graph,
@@ -53,9 +54,10 @@ def main():
     model = fit(data, params)
     model_path = work / "model.json"
     save_model(model_path, model)
+    n_outliers = int(model.is_outlier.sum())
     print(
         f"trained {params.n_trees} trees; "
-        f"{model.outlier_count()} outlier / {model.inlier_count()} inliers; "
+        f"{n_outliers} outlier / {model.n_train - n_outliers} inliers; "
         f"saved to {model_path.name}"
     )
 
@@ -64,13 +66,13 @@ def main():
     reloaded = load_model(model_path)
     probes = np.array([[5.0, 5.0, 5.0, 5.0], [11.0, 5.0, -1.0, 11.0]])
     scores = score_samples(reloaded, probes)
-    labels = label_scores(scores, ScoreThreshold(reloaded.cutoff))
+    is_outlier = label_scores(scores, ScoreThreshold(reloaded.cutoff))
     print(f"  score cutoff from training: {reloaded.cutoff:.4f} (Outlier iff score >= cutoff)")
-    for row, s, l in zip(probes, scores, labels):
-        print(f"  probe {row.tolist()} -> score {s:.4f} ({l})")
+    for row, s, o in zip(probes, scores, is_outlier):
+        print(f"  probe {row.tolist()} -> score {s:.4f} ({OUTLIER if o else INLIER})")
 
     # 4. explain the training data and write the full bundle
-    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
+    graph = build_model_graph(model, data, model.is_outlier, model.train_visits)
     report = score_graph(graph)
     bundle_dir = work / "explanation"
     manifest = write_explanation_bundle(

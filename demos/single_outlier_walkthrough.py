@@ -13,6 +13,7 @@ import numpy as np
 from iforest_dpg import (
     Contamination,
     ForestParams,
+    INLIER,
     OUTLIER,
     build_model_graph,
     fit,
@@ -48,11 +49,12 @@ def main():
     print(f"subsample {model.subsample_size}, depth cap {model.max_depth}")
     print("top anomaly scores:")
     for i in ranked[:3]:
-        print(f"  sample {i:3d}: score {model.scores[i]:.4f} -> {model.labels[i]}")
+        label = OUTLIER if model.is_outlier[i] else INLIER
+        print(f"  sample {i:3d}: score {model.scores[i]:.4f} -> {label}")
     print(f"detected outlier is the injected sample: {ranked[0] == 0}")
 
     section("3. graph: collapse every root-to-leaf trace into predicate edges")
-    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
+    graph = build_model_graph(model, data, model.is_outlier, model.train_visits)
     meta = graph.metadata
     print(
         f"{len(graph.predicates)} predicate nodes, {len(graph.edges)} edges; "

@@ -39,10 +39,8 @@ from .forest import (
     score_samples,
 )
 from .io import (
-    DotStyle,
     IOP_PALETTE,
     export_dot,
-    iop_color,
     load_model,
     read_csv,
     save_model,
@@ -74,7 +72,6 @@ __all__ = [
     "ClassWeights",
     "Contamination",
     "Dataset",
-    "DotStyle",
     "DpGraph",
     "ForestModel",
     "ForestParams",
@@ -95,7 +92,6 @@ __all__ = [
     "fixture_one",
     "fixture_two",
     "generate",
-    "iop_color",
     "iop_score",
     "label_scores",
     "load_model",

@@ -8,6 +8,7 @@ stderr as `warning: <message>` lines and do not change the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -31,6 +32,7 @@ from .forest import (
     Dataset,
     ForestModel,
     ForestParams,
+    INLIER,
     OUTLIER,
     ScoreThreshold,
     fit,
@@ -197,7 +199,7 @@ def _run_explain(
     the outlier rows again.
     """
     model = fit(data, params)
-    graph = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
+    graph = build_model_graph(model, data, model.is_outlier, model.train_visits)
     return model, graph, score_graph(graph)
 
 
@@ -205,7 +207,7 @@ def _repro_seed(data: Dataset, params: ForestParams) -> tuple[dict[Predicate, fl
     """One repro seed's IOP per predicate and its detected rows; the model and
     graph are dropped before the next seed fits."""
     model, _, report = _run_explain(data, params)
-    detected = {int(i) for i in np.flatnonzero(model.labels == OUTLIER)}
+    detected = {int(i) for i in np.flatnonzero(model.is_outlier)}
     return {e.predicate: e.iop for e in report.entries}, detected
 
 
@@ -268,14 +270,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     data = _read_input(args)
     model = fit(data, _params_from_args(args))
     save_model(args.out, model)
+    n_outliers = int(np.count_nonzero(model.is_outlier))
     summary = {
         "model": str(args.out),
         "n_train": model.n_train,
         "n_trees": model.params.n_trees,
         "subsample_size": model.subsample_size,
         "max_depth": model.max_depth,
-        "n_outliers": model.outlier_count(),
-        "n_inliers": model.inlier_count(),
+        "n_outliers": n_outliers,
+        "n_inliers": model.n_train - n_outliers,
     }
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -295,23 +298,39 @@ def cmd_train(args: argparse.Namespace) -> int:
 _SCORE_CHUNK = 1 << 12
 
 
-def _scored_rows(scores: np.ndarray, labels: np.ndarray):
+def _scored_rows(scores: np.ndarray, is_outlier: np.ndarray):
     """Yield (sample, score, label) as Python values, one chunk converted at a time."""
     for start in range(0, len(scores), _SCORE_CHUNK):
         stop = start + _SCORE_CHUNK
         yield from zip(
-            range(start, stop), scores[start:stop].tolist(), labels[start:stop].tolist()
+            range(start, stop),
+            scores[start:stop].tolist(),
+            ((INLIER, OUTLIER)[o] for o in is_outlier[start:stop].tolist()),
         )
+
+
+def _check_columns(data: Dataset, model: ForestModel, has_header: bool) -> None:
+    """A ValueError naming the first feature column of `data` that is not the
+    model's: compared by name with a header, by count without one. Columns
+    are never reordered."""
+    pairs = itertools.zip_longest(data.feature_names, model.feature_names)
+    for i, (got, want) in enumerate(pairs):
+        if got is None or want is None or (has_header and got != want):
+            raise ValueError(
+                f"feature column {i} is {'absent' if got is None else repr(got)} in "
+                f"the CSV but {'absent' if want is None else repr(want)} in the model; "
+                "score a CSV with the model's feature columns, in order"
+            )
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     data = _read_input(args)
     model = load_model(args.model)
+    _check_columns(data, model, has_header=not args.no_header)
     scores = score_samples(model, data)
     # The training-score cutoff, not the rule: a row's label must not depend
     # on the batch it is scored in.
-    labels = label_scores(scores, ScoreThreshold(model.cutoff))
-    rows = _scored_rows(scores, labels)
+    rows = _scored_rows(scores, label_scores(scores, ScoreThreshold(model.cutoff)))
     if args.out is not None:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             fh.write("sample,score,label\n")

@@ -220,21 +220,26 @@ class FlatForest:
 
 @dataclass
 class ForestModel:
-    """Fitted forest plus training-time scores, labels and score cutoff.
+    """Fitted forest plus training-time scores, outlier mask, score cutoff
+    and feature names.
 
-    Immutable by convention. `cutoff` labels the scores of new rows, Outlier
-    iff score >= cutoff, so a saved model labels a row the same in any batch:
-    it is the rule's threshold for ScoreThreshold and the lowest score of a
-    training outlier for Contamination. A new row that ties the cutoff is an
-    Outlier, even where a training row with that score lost the tie.
+    Immutable by convention. `is_outlier` is True for the training rows the
+    label rule makes Outliers, a function of `scores` and the rule. `cutoff`
+    labels the scores of new rows, Outlier iff score >= cutoff, so a saved
+    model labels a row the same in any batch: it is the rule's threshold for
+    ScoreThreshold and the lowest score of a training outlier for
+    Contamination. A new row that ties the cutoff is an Outlier, even where a
+    training row with that score lost the tie. `feature_names` are the
+    training columns, in order.
     """
 
     forest: FlatForest
     params: ForestParams
     n_train: int
     scores: np.ndarray
-    labels: np.ndarray
+    is_outlier: np.ndarray
     cutoff: float
+    feature_names: list[str]
     # How many training rows end at each final slot, from fit's routing
     # pass; None on a loaded model, and never saved.
     train_visits: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -246,12 +251,6 @@ class ForestModel:
     @property
     def max_depth(self) -> int:
         return max_tree_depth(self.subsample_size)
-
-    def outlier_count(self) -> int:
-        return int(np.count_nonzero(self.labels == OUTLIER))
-
-    def inlier_count(self) -> int:
-        return int(np.count_nonzero(self.labels == INLIER))
 
 
 # Tree growth replays each tree's Generator stream from its bit generator's
@@ -533,20 +532,21 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     # leaf visits a graph of the training set can be built from.
     visits = np.zeros(len(forest.h), dtype=np.int64)
     scores = anomaly_score(_mean_paths(forest, X, visits), sub_n)
-    labels = label_scores(scores, params.label_rule)
+    is_outlier = label_scores(scores, params.label_rule)
     rule = params.label_rule
     cutoff = (
         rule.threshold
         if isinstance(rule, ScoreThreshold)
-        else float(scores[labels == OUTLIER].min())
+        else float(scores[is_outlier].min())
     )
     return ForestModel(
         forest=forest,
         params=params,
         n_train=n,
         scores=scores,
-        labels=labels,
+        is_outlier=is_outlier,
         cutoff=cutoff,
+        feature_names=list(data.feature_names),
         train_visits=visits,
     )
 
@@ -764,15 +764,14 @@ def _outlier_count(fraction: float, n: int) -> int:
 def label_scores(
     scores: np.ndarray, rule: ScoreThreshold | Contamination
 ) -> np.ndarray:
-    n = len(scores)
-    labels = np.full(n, INLIER, dtype="<U7")
+    """The outlier mask of `scores` under `rule`: True where a score is
+    labeled Outlier."""
     if isinstance(rule, ScoreThreshold):
-        labels[scores >= rule.threshold] = OUTLIER
-        return labels
-    k = _outlier_count(rule.fraction, n)
+        return scores >= rule.threshold
+    k = _outlier_count(rule.fraction, len(scores))
     if k == 0:
         raise SingleClassError("no outliers detected; DPG weighting undefined")
     # Stable sort on -scores: score ties resolve to the lower sample index.
-    order = np.argsort(-scores, kind="stable")
-    labels[order[:k]] = OUTLIER
-    return labels
+    is_outlier = np.zeros(len(scores), dtype=bool)
+    is_outlier[np.argsort(-scores, kind="stable")[:k]] = True
+    return is_outlier

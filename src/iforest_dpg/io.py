@@ -5,12 +5,12 @@ ASCII decimal or exponent number, inf or nan (the last two rejected as
 non-finite), optionally quoted and padded with whitespace. Only a file that
 fails is scanned again cell by cell, to name the first fault by file row.
 
-All JSON documents carry a top-level schema_version: 3 for model.json, which
-stores each tree's splits by heap index, the numbering of `FlatForest`'s
-slots within a tree, is checked for structure on load and is written as one
-compact line, and 1 for the rest, which are indented. Floats are written
-with Python's shortest round-trip repr, so every persisted real value
-reloads bit-exactly. DOT output is one statement per line with LF
+All JSON documents carry a top-level schema_version: 4 for model.json, which
+stores the feature names and each tree's splits by heap index, the numbering
+of `FlatForest`'s slots within a tree, is checked for structure on load and
+is written as one compact line, and 1 for the rest, which are indented.
+Floats are written with Python's shortest round-trip repr, so every persisted
+real value reloads bit-exactly. DOT output is one statement per line with LF
 endings and is a pure function of its inputs.
 """
 
@@ -23,7 +23,6 @@ import math
 import platform
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -47,14 +46,17 @@ from .forest import (
     ForestModel,
     ForestParams,
     ScoreThreshold,
+    SingleClassError,
     _rule_to_dict,
+    label_scores,
     max_tree_depth,
 )
 from .metrics import IopReport, rank_report
 
 SCHEMA_VERSION = 1
-# model.json alone is at version 3: trees by heap index, and a cutoff.
-MODEL_SCHEMA_VERSION = 3
+# model.json alone is at version 4: trees by heap index, a cutoff and the
+# feature names, and no training labels.
+MODEL_SCHEMA_VERSION = 4
 
 # Label tokens (lower-cased, stripped) as loadtxt's label converter reads them.
 _LABEL_CODES = {"o": 1.0, "outlier": 1.0, "1": 1.0, "n": 0.0, "inlier": 0.0, "0": 0.0}
@@ -403,6 +405,7 @@ def _model_head(model: ForestModel) -> dict[str, Any]:
         },
         "n_train": model.n_train,
         "cutoff": model.cutoff,
+        "feature_names": model.feature_names,
     }
 
 
@@ -434,15 +437,16 @@ def model_to_dict(model: ForestModel) -> dict[str, Any]:
         **_model_head(model),
         "trees": list(_tree_dicts(model.forest)),
         "scores": model.scores.tolist(),
-        "labels": model.labels.tolist(),
     }
 
 
 def model_from_dict(obj: dict[str, Any]) -> ForestModel:
     """Rebuild a model; a missing, mistyped or inconsistent field is a ValueError.
 
-    Files of another schema_version, model.json versions 1 and 2 included,
-    are rejected rather than converted.
+    The training outlier mask is the label rule applied to the saved scores,
+    as fit applied it, not `scores >= cutoff`: a training row that ties the
+    Contamination cutoff can be an Inlier. Files of another schema_version,
+    model.json versions 1 to 3 included, are rejected rather than converted.
     """
     if not isinstance(obj, dict):
         raise _malformed(f"expected an object, got {type(obj).__name__}")
@@ -462,13 +466,10 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         )
         n_train = _value(obj, "n_train", (int,))
         scores = _array(obj, "scores", (int, float), np.float64)
-        labels = _value(obj, "labels", (list,))
-        if not len(scores) == len(labels) == n_train:
-            raise _malformed(
-                f"{len(scores)} scores and {len(labels)} labels for n_train {n_train}"
-            )
-        if not np.all(np.isfinite(scores)) or not set(labels) <= {INLIER, OUTLIER}:
-            raise _malformed("a score is not finite or a label is not Inlier or Outlier")
+        if len(scores) != n_train:
+            raise _malformed(f"{len(scores)} scores for n_train {n_train}")
+        if not np.all(np.isfinite(scores)):
+            raise _malformed("a score is not finite")
         trees = _value(obj, "trees", (list,))
         if len(trees) != params.n_trees:
             raise _malformed(f"{len(trees)} trees for n_trees {params.n_trees}")
@@ -484,15 +485,24 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         forest = FlatForest(
             len(trees), levels, feature, threshold, size, params.leaf_adjustment
         )
+        # Names need not be distinct, as CSV headers need not be.
+        names = _value(obj, "feature_names", (list,))
+        if {type(name) for name in names} - {str} or len(names) < forest.width:
+            raise _malformed(
+                f"'feature_names' is not {forest.width} or more strings, "
+                "one per column the trees may split on"
+            )
         return ForestModel(
             forest=forest,
             params=params,
             n_train=n_train,
             scores=scores,
-            labels=np.asarray(labels, dtype="<U7"),
+            is_outlier=label_scores(scores, params.label_rule),
             cutoff=_number(obj, "cutoff"),
+            feature_names=names,
         )
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+    # fit never saves a rule that labels no training row Outlier.
+    except (KeyError, TypeError, IndexError, OverflowError, SingleClassError) as exc:
         raise _malformed(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -500,23 +510,22 @@ def _compact(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-# Training rows per piece of model.json's `scores` and `labels`.
+# Training rows per piece of model.json's `scores`.
 _ROWS_PER_PIECE = 1 << 10
 
 
 def _model_json_pieces(model: ForestModel) -> Iterator[str]:
     """model.json's text, one compact line, in pieces: the head, each tree,
-    then the scores and labels `_ROWS_PER_PIECE` at a time. Joined, the
-    pieces are `json.dumps(model_to_dict(model))` with compact separators
-    plus a newline; the only JSON document not indented."""
+    then the scores `_ROWS_PER_PIECE` at a time. Joined, the pieces are
+    `json.dumps(model_to_dict(model))` with compact separators plus a
+    newline; the only JSON document not indented."""
     yield _compact(_model_head(model))[:-1] + ',"trees":['
     for i, tree in enumerate(_tree_dicts(model.forest)):
         yield ("," if i else "") + _compact(tree)
-    for key, values in (("scores", model.scores), ("labels", model.labels)):
-        yield f'],"{key}":['
-        for start in range(0, len(values), _ROWS_PER_PIECE):
-            piece = _compact(values[start : start + _ROWS_PER_PIECE].tolist())[1:-1]
-            yield ("," if start else "") + piece
+    yield '],"scores":['
+    for start in range(0, model.n_train, _ROWS_PER_PIECE):
+        piece = _compact(model.scores[start : start + _ROWS_PER_PIECE].tolist())[1:-1]
+        yield ("," if start else "") + piece
     yield "]}\n"
 
 
@@ -617,36 +626,17 @@ IOP_PALETTE = (
 # Fills dark enough to need white label text.
 _DARK_FILL_STEPS = {0, 1, 9, 10}
 
-
-@dataclass(frozen=True)
-class DotStyle:
-    iop_palette: tuple[str, ...] = IOP_PALETTE
-    edge_width: tuple[float, float] = (0.5, 6.0)
-    show_source: bool = False
-    class_node_shape: str = "box"
-
-    def __post_init__(self) -> None:
-        if len(self.iop_palette) < 3 or len(self.iop_palette) % 2 == 0:
-            raise ValueError("iop_palette must have an odd length >= 3")
-        lo, hi = self.edge_width
-        if not 0 < lo < hi:
-            raise ValueError("edge_width must be an increasing positive pair")
+# Pen widths of the lightest and the heaviest edge drawn.
+_EDGE_WIDTH = (0.5, 6.0)
 
 
-def _palette_step(style: DotStyle, iop: float) -> int:
-    steps = len(style.iop_palette) - 1
-    return int(round((iop + 1.0) / 2.0 * steps))
+def _palette_step(iop: float) -> int:
+    """The palette index of an IOP value: -1 and +1 hit the endpoints."""
+    return int(round((iop + 1.0) / 2.0 * (len(IOP_PALETTE) - 1)))
 
 
-def iop_color(style: DotStyle, iop: float) -> str:
-    """Fill color for an IOP value: -1 and +1 hit the palette endpoints."""
-    if not -1.0 <= iop <= 1.0:
-        raise ValueError(f"iop must lie in [-1, 1], got {iop}")
-    return style.iop_palette[_palette_step(style, iop)]
-
-
-def _width_map(style: DotStyle, weights: list[float]):
-    lo, hi = style.edge_width
+def _width_map(weights: list[float]):
+    lo, hi = _EDGE_WIDTH
     wmin, wmax = min(weights), max(weights)
     if wmax == wmin:
         mid = (lo + hi) / 2.0
@@ -660,16 +650,13 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(
-    graph: DpGraph, report: IopReport, style: DotStyle | None = None
-) -> str:
+def export_dot(graph: DpGraph, report: IopReport) -> str:
     """Render the graph as DOT text: filled predicate ellipses colored by
     IOP, class terminals as boxes, pen width proportional to edge weight.
+    The virtual SOURCE node and its edges are not drawn.
 
-    Byte-deterministic: same graph/report/style, same output.
+    Byte-deterministic: same graph and report, same output.
     """
-    if style is None:
-        style = DotStyle()
     iop_by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
     predicates = graph.predicates
     missing = [predicate_id(p) for p in predicates if predicate_id(p) not in iop_by_id]
@@ -678,26 +665,20 @@ def export_dot(
 
     names = graph.metadata.get("feature_names") if graph.metadata else None
     lines = ["digraph dpg {", "  rankdir=LR;"]
-    if style.show_source:
-        lines.append('  "SOURCE" [label="Source", shape=point];')
     for p in predicates:
         pid = predicate_id(p)
-        step = _palette_step(style, iop_by_id[pid])
+        step = _palette_step(iop_by_id[pid])
         font = ', fontcolor="#ffffff"' if step in _DARK_FILL_STEPS else ""
         lines.append(
             f'  "{pid}" [label="{_dot_escape(predicate_label(p, names))}", style=filled, '
-            f'fillcolor="{style.iop_palette[step]}"{font}];'
+            f'fillcolor="{IOP_PALETTE[step]}"{font}];'
         )
     for cid, label in ((INLIER_ID, "Inliers"), (OUTLIER_ID, "Outliers")):
-        lines.append(f'  "{cid}" [label="{label}", shape={style.class_node_shape}];')
+        lines.append(f'  "{cid}" [label="{label}", shape=box];')
 
-    shown = [
-        (key, w)
-        for key, w in graph.edges.items()
-        if style.show_source or key[0] != SOURCE_ID
-    ]
+    shown = [(key, w) for key, w in graph.edges.items() if key[0] != SOURCE_ID]
     if shown:
-        width_of = _width_map(style, [w for _, w in shown])
+        width_of = _width_map([w for _, w in shown])
         for (src, dst), w in shown:
             lines.append(f'  "{src}" -> "{dst}" [penwidth={width_of(w):.2f}];')
     lines.append("}")

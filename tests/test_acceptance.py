@@ -26,7 +26,6 @@ from iforest_dpg.dpg import (
     predicate_id,
 )
 from iforest_dpg.forest import (
-    OUTLIER,
     Contamination,
     Dataset,
     ForestParams,
@@ -129,7 +128,7 @@ def test_oracle_equivalence():
                 label_rule=Contamination(0.3),
             ),
         )
-        outlier = model.labels == OUTLIER
+        outlier = model.is_outlier
         expected = _oracle_edges(model, data, outlier)
         if expected is None:
             with pytest.raises(SingleClassError):
@@ -179,7 +178,7 @@ def test_randomized_property_suite():
             assert max(depth for _, depth in walk(tree)) <= cap
 
         try:
-            g = build_model_graph(model, data, model.labels == OUTLIER)
+            g = build_model_graph(model, data, model.is_outlier)
         except SingleClassError:
             continue
         graphs += 1
@@ -220,11 +219,11 @@ def _fixture_sweep(make, contamination, negative, seeds=20):
             data,
             ForestParams(n_trees=200, seed=seed, label_rule=Contamination(contamination)),
         )
-        report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
+        report = score_graph(build_model_graph(model, data, model.is_outlier))
         by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
         neg_ok = all(by_id.get(pid, 1.0) < 0 for pid in negative)
         top_ok = _most_negative(by_id, 3) == set(negative)
-        detected = {int(i) for i in np.flatnonzero(model.labels == OUTLIER)}
+        detected = {int(i) for i in np.flatnonzero(model.is_outlier)}
         if detected == set(range(len(detected))) and len(detected) > 0:
             detections += 1
         if neg_ok:
@@ -299,7 +298,7 @@ def test_annthyroid_sign_rank_stability():
             data,
             ForestParams(n_trees=200, seed=seed, label_rule=Contamination(0.0361)),
         )
-        report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
+        report = score_graph(build_model_graph(model, data, model.is_outlier))
         by_id = {predicate_id(e.predicate): e.iop for e in report.entries}
         tsh = by_id.get(tsh_gt)
         negatives = {pid for pid, v in by_id.items() if v < 0}

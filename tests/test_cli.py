@@ -6,13 +6,22 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from io import StringIO
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iforest_dpg import cli
 from iforest_dpg.cli import main
-from iforest_dpg.forest import max_tree_depth
+from iforest_dpg.forest import (
+    Contamination,
+    Dataset,
+    ForestParams,
+    fit,
+    label_scores,
+    max_tree_depth,
+)
+from iforest_dpg.io import load_model, save_model, write_dataset_csv
 
 
 def run(capsys, *argv):
@@ -184,8 +193,45 @@ def test_score_rejects_narrower_csv(tmp_path, capsys, fixture_csv):
     _write_rows(narrow, [row[:3] for row in rows])
     code, stdout, err = run(capsys, "score", str(narrow), "--model", str(model_path))
     assert code == 1
-    assert "beyond the dataset width" in err
+    assert err.startswith("error: feature column 3 is absent in the CSV but 'F3' in the model")
     assert stdout == ""
+
+
+def test_score_rejects_reversed_columns(tmp_path, capsys, fixture_csv):
+    # The model's columns in reverse order: the names tell, and nothing is
+    # reordered or scored.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    reversed_csv = tmp_path / "reversed.csv"
+    _write_rows(reversed_csv, [row[::-1] for row in rows])
+    code, stdout, err = run(capsys, "score", str(reversed_csv), "--model", str(model_path))
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        "error: feature column 0 is 'F5' in the CSV but 'F0' in the model; "
+        "score a CSV with the model's feature columns, in order\n"
+    )
+
+
+def test_score_rejects_wider_csv(tmp_path, capsys, fixture_csv):
+    # One column more than the model's: an error with a header and without.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    wide = tmp_path / "wide.csv"
+    _write_rows(wide, [rows[0] + ["F6"]] + [row + ["0.0"] for row in rows[1:]])
+    code, stdout, err = run(capsys, "score", str(wide), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: feature column 6 is 'F6' in the CSV but absent in the model")
+    for columns, expected in ((7, 1), (6, 0)):
+        bare = tmp_path / f"bare{columns}.csv"
+        _write_rows(bare, [(row + ["0.0"])[:columns] for row in rows[1:]])
+        code, _, err = run(
+            capsys, "score", str(bare), "--no-header", "--model", str(model_path)
+        )
+        assert code == expected, err
+    assert err == ""
 
 
 def test_score_single_row_matches_batch(tmp_path, capsys, fixture_csv):
@@ -241,7 +287,8 @@ def test_score_labels_a_lone_row_with_the_training_cutoff(tmp_path, capsys, fixt
     )
     assert code == 0
     saved = json.loads(model_path.read_text())
-    assert saved["labels"][5] == "Inlier"
+    is_outlier = label_scores(np.array(saved["scores"]), Contamination(0.01))
+    assert not is_outlier[5]
     with open(fixture_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     one = tmp_path / "one.csv"
@@ -255,7 +302,34 @@ def test_score_labels_a_lone_row_with_the_training_cutoff(tmp_path, capsys, fixt
     code, stdout, _ = run(
         capsys, "score", str(fixture_csv), "--model", str(model_path), "--json"
     )
-    assert [r["label"] for r in json.loads(stdout)] == saved["labels"]
+    assert [r["label"] == "Outlier" for r in json.loads(stdout)] == is_outlier.tolist()
+
+
+def test_tied_training_rows_keep_the_rule_labels_after_loading(tmp_path, capsys):
+    # Two identical far rows tie at the top score and Contamination keeps one
+    # outlier: the lower index is Outlier and its twin, at the cutoff, an
+    # Inlier. The loaded model must say the same (the rule, not score >=
+    # cutoff), while `score` labels both Outlier by the cutoff.
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((52, 2))
+    X[[10, 30]] = (8.0, -8.0)
+    data = Dataset(features=X, feature_names=["a", "b"])
+    model = fit(data, ForestParams(n_trees=20, seed=1, label_rule=Contamination(1 / 52)))
+    top = np.argsort(-model.scores, kind="stable")[:3].tolist()
+    assert top[:2] == [10, 30] and model.scores[10] == model.scores[30] > model.scores[top[2]]
+    assert np.flatnonzero(model.is_outlier).tolist() == [10]
+    assert model.cutoff == model.scores[30]
+    model_path = tmp_path / "model.json"
+    save_model(model_path, model)
+    loaded = load_model(model_path)
+    assert np.array_equal(loaded.is_outlier, model.is_outlier)
+    csv_path = tmp_path / "data.csv"
+    write_dataset_csv(csv_path, data)
+    code, stdout, err = run(capsys, "score", str(csv_path), "--model", str(model_path), "--json")
+    assert code == 0, err
+    labels = [r["label"] for r in json.loads(stdout)]
+    assert labels[10] == labels[30] == "Outlier"
+    assert labels.count("Outlier") == 2
 
 
 @pytest.mark.parametrize(
@@ -265,6 +339,10 @@ def test_score_labels_a_lone_row_with_the_training_cutoff(tmp_path, capsys, fixt
         lambda doc: doc.pop("params"),
         lambda doc: doc.__setitem__("trees", 3),
         lambda doc: doc["params"].__setitem__("label_rule", []),
+        # Training labels follow from the rule, and this one labels no row.
+        lambda doc: doc["params"].__setitem__(
+            "label_rule", {"kind": "contamination", "fraction": 1e-12}
+        ),
     ],
 )
 def test_score_rejects_malformed_model(tmp_path, capsys, fixture_csv, mutate):
@@ -321,7 +399,7 @@ _OTHER_TYPES = (7, 1.5, "x", True, None, [], {})
 
 def _mutate(doc, data):
     paths = list(_paths(doc))
-    action = data.draw(st.sampled_from(["drop", "truncate", "index", "type"]))
+    action = data.draw(st.sampled_from(["drop", "truncate", "index", "type", "names"]))
     if action == "drop":
         path = data.draw(st.sampled_from([p for p, _ in paths if isinstance(p[-1], str)]))
         del _parent(doc, path)[path[-1]]
@@ -340,6 +418,15 @@ def _mutate(doc, data):
         tree["node"][i] = data.draw(
             st.integers(max_value=previous) | st.integers(min_value=(1 << cap) - 1)
         )
+    elif action == "names":
+        # Names a loader accepts but the data's header does not match: one
+        # renamed, or all reversed.
+        names = doc["feature_names"]
+        if data.draw(st.booleans()):
+            names.reverse()
+        else:
+            i = data.draw(st.integers(0, len(names) - 1))
+            names[i] = data.draw(st.text(max_size=3).filter(lambda n: n != names[i]))
     else:
         path, value = data.draw(st.sampled_from(paths))
         other = [
@@ -353,8 +440,8 @@ def _mutate(doc, data):
 @given(data=st.data())
 def test_score_rejects_every_mutated_model(saved_model, data):
     # Drop a key, truncate an array, move a split's heap index back or past
-    # the depth cap, or change a type: loading must fail with exit 1, no
-    # traceback.
+    # the depth cap, change a type, or rename or reorder the feature names:
+    # loading or the column check must fail with exit 1, no traceback.
     csv_path, doc = saved_model
     doc = json.loads(json.dumps(doc))
     _mutate(doc, data)

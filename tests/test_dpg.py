@@ -45,15 +45,16 @@ from tree_reference import Tree, flat, route, trees_of
 
 
 def _manual_model(trees, labels):
-    labels = np.asarray(labels, dtype="<U7")
     n = len(labels)
+    forest = flat(trees)
     return ForestModel(
-        forest=flat(trees),
+        forest=forest,
         params=ForestParams(n_trees=len(trees), seed=0),
         n_train=n,
         scores=np.full(n, 0.5),
-        labels=labels,
+        is_outlier=np.asarray(labels) == OUTLIER,
         cutoff=0.5,
+        feature_names=[f"F{k}" for k in range(forest.width)],
     )
 
 
@@ -81,7 +82,7 @@ def test_traverse_single_split():
         features=np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.9]]),
         feature_names=["a", "b", "c"],
     )
-    traces = traverse(model, data, model.labels == OUTLIER)
+    traces = traverse(model, data, model.is_outlier)
     assert len(traces) == 2
     assert traces[0].predicates == [PredicateTriple(2, LE, 0.5)]
     assert traces[0].class_label == "Inlier"
@@ -92,14 +93,14 @@ def test_traverse_single_split():
 def test_traverse_single_leaf_tree():
     model = _manual_model([Tree([-1], [0.0], [-1], [2])], ["Outlier", "Inlier"])
     data = Dataset(features=np.zeros((2, 1)), feature_names=["a"])
-    traces = traverse(model, data, model.labels == OUTLIER)
+    traces = traverse(model, data, model.is_outlier)
     assert [t.predicates for t in traces] == [[], []]
     assert [t.class_label for t in traces] == ["Outlier", "Inlier"]
 
 
 def test_traverse_trace_count_and_order(small_model):
     data, model = small_model
-    traces = traverse(model, data, model.labels == OUTLIER)
+    traces = traverse(model, data, model.is_outlier)
     assert len(traces) == model.params.n_trees * data.n_samples
     expected = [
         (t, s) for t in range(model.params.n_trees) for s in range(data.n_samples)
@@ -107,14 +108,16 @@ def test_traverse_trace_count_and_order(small_model):
     assert [(tr.tree_index, tr.sample_index) for tr in traces] == expected
     cap = max_tree_depth(model.subsample_size)
     assert all(len(tr.predicates) <= cap for tr in traces)
-    assert all(tr.class_label == model.labels[tr.sample_index] for tr in traces)
+    assert all(
+        (tr.class_label == OUTLIER) == model.is_outlier[tr.sample_index] for tr in traces
+    )
 
 
 def test_traverse_rejects_wrong_sample_count(small_model):
     data, model = small_model
     shrunk = Dataset(features=data.features[:-1], feature_names=data.feature_names)
     with pytest.raises(ValueError):
-        traverse(model, shrunk, model.labels == OUTLIER)
+        traverse(model, shrunk, model.is_outlier)
 
 
 def test_traverse_rejects_narrow_data(small_model):
@@ -123,7 +126,7 @@ def test_traverse_rejects_narrow_data(small_model):
         features=data.features[:, :1], feature_names=data.feature_names[:1]
     )
     with pytest.raises(ValueError):
-        traverse(model, narrow, model.labels == OUTLIER)
+        traverse(model, narrow, model.is_outlier)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def test_oracle_equivalence_on_random_tiny_instances():
             label_rule=Contamination(0.3),
         )
         model = fit(data, params)
-        outlier = model.labels == OUTLIER
+        outlier = model.is_outlier
         expected = _oracle_edges(model, data, outlier)
         if expected is None:
             with pytest.raises(SingleClassError):
@@ -388,7 +391,7 @@ def test_oracle_equivalence_on_random_tiny_instances():
 
 def test_fused_pipeline_matches_object_route(small_model):
     data, model = small_model
-    outlier = model.labels == OUTLIER
+    outlier = model.is_outlier
     fused = build_model_graph(model, data, outlier, model.train_visits)
     _assert_matches_object_route(fused, model, data, outlier)
 
@@ -400,8 +403,8 @@ def test_graph_from_reloaded_model_matches_fitted(small_model):
     assert model.train_visits is not None
     reloaded = model_from_dict(model_to_dict(model))
     assert reloaded.train_visits is None
-    fresh = build_model_graph(model, data, model.labels == OUTLIER, model.train_visits)
-    again = build_model_graph(reloaded, data, reloaded.labels == OUTLIER)
+    fresh = build_model_graph(model, data, model.is_outlier, model.train_visits)
+    again = build_model_graph(reloaded, data, reloaded.is_outlier)
     assert np.array_equal(again.c_in, fresh.c_in)
     assert np.array_equal(again.c_out, fresh.c_out)
     assert again.metadata == fresh.metadata
@@ -409,7 +412,7 @@ def test_graph_from_reloaded_model_matches_fitted(small_model):
 
 def test_graph_with_train_visits_equals_graph_without(small_model):
     data, model = small_model
-    outlier = model.labels == OUTLIER
+    outlier = model.is_outlier
     given = build_model_graph(model, data, outlier, model.train_visits)
     routed = build_model_graph(model, data, outlier)
     assert np.array_equal(given.c_in, routed.c_in)
@@ -419,7 +422,7 @@ def test_graph_with_train_visits_equals_graph_without(small_model):
 
 def test_mismatched_mask_or_visits_is_a_value_error(small_model):
     data, model = small_model
-    outlier = model.labels == OUTLIER
+    outlier = model.is_outlier
     for mask in (outlier[:-1], outlier.astype(int), outlier[:, None]):
         with pytest.raises(ValueError, match="outlier mask"):
             build_model_graph(model, data, mask)
@@ -464,14 +467,14 @@ def test_graph_of_fixture_one_true_labels_matches_oracles():
     params = ForestParams(n_trees=30, seed=7, label_rule=Contamination(0.05))
     model = fit(data, params)
     truth = data.labels == OUTLIER
-    assert truth.sum() == 1 and model.outlier_count() == 10
+    assert truth.sum() == 1 and model.is_outlier.sum() == 10
     g = build_model_graph(model, data, truth, model.train_visits)
     assert (g.metadata["n_outliers"], g.metadata["n_inliers"]) == (1, 199)
     assert g.weights.w_o == 200.0
     _assert_matches_object_route(g, model, data, truth)
     _assert_matches_oracle(g, _oracle_edges(model, data, truth))
     assert not np.array_equal(
-        g.c_out, build_model_graph(model, data, model.labels == OUTLIER).c_out
+        g.c_out, build_model_graph(model, data, model.is_outlier).c_out
     )
 
 
@@ -522,14 +525,14 @@ def _assert_graph_invariants(g, n_features):
 
 def test_graph_invariants_on_small_model(small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     _assert_graph_invariants(g, data.n_features)
 
 
 def test_terminal_inflow_identity(small_model):
     # The terminal counts are the kept traces of each class, exactly.
     data, model = small_model
-    outlier = model.labels == OUTLIER
+    outlier = model.is_outlier
     g = build_model_graph(model, data, outlier)
     dmax = max_tree_depth(model.subsample_size)
     traces = prune_deep_outlier_traces(traverse(model, data, outlier), dmax)
@@ -558,7 +561,7 @@ def test_graph_invariants_randomized(seed):
         ForestParams(n_trees=8, seed=seed, label_rule=Contamination(0.25)),
     )
     try:
-        g = build_model_graph(model, data, model.labels == OUTLIER)
+        g = build_model_graph(model, data, model.is_outlier)
     except SingleClassError:
         return
     _assert_graph_invariants(g, d)
@@ -566,12 +569,12 @@ def test_graph_invariants_randomized(seed):
 
 def test_metadata_records_run_configuration(small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     md = g.metadata
     assert md["n_trees"] == model.params.n_trees
     assert md["seed"] == model.params.seed
     assert md["label_rule"] == {"kind": "contamination", "fraction": 0.05}
-    assert md["n_outliers"] == model.outlier_count()
-    assert md["n_inliers"] == model.inlier_count()
+    assert md["n_outliers"] == model.is_outlier.sum()
+    assert md["n_inliers"] == (~model.is_outlier).sum()
     assert md["feature_names"] == data.feature_names
     assert md["traces_total"] == model.params.n_trees * data.n_samples

@@ -13,7 +13,6 @@ from iforest_dpg import forest as forest_module
 from iforest_dpg.dpg import GT, build_model_graph
 from iforest_dpg.forest import (
     C1,
-    OUTLIER,
     Contamination,
     Dataset,
     ForestParams,
@@ -321,7 +320,7 @@ def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
     params = ForestParams(n_trees=25, seed=11, label_rule=Contamination(0.05))
     serial = fit(small_data, params)
     serial_visits = forest_module._leaf_visits(serial.forest, small_data.features)
-    serial_graph = build_model_graph(serial, small_data, serial.labels == OUTLIER)
+    serial_graph = build_model_graph(serial, small_data, serial.is_outlier)
     threads = _route_on_two_threads(monkeypatch, params.n_trees)
     # Switch threads as often as the interpreter allows, to interleave the
     # caller's and the helper's blocks.
@@ -339,7 +338,7 @@ def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
     )
     visits = forest_module._leaf_visits(threaded.forest, small_data.features)
     assert np.array_equal(visits, serial_visits)
-    graph = build_model_graph(threaded, small_data, threaded.labels == OUTLIER)
+    graph = build_model_graph(threaded, small_data, threaded.is_outlier)
     assert np.array_equal(graph.c_in, serial_graph.c_in)
     assert np.array_equal(graph.c_out, serial_graph.c_out)
 
@@ -372,7 +371,7 @@ def test_fit_deterministic(small_data):
     b = fit(small_data, params)
     assert trees_of(a) == trees_of(b)
     assert np.array_equal(a.scores, b.scores)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.is_outlier, b.is_outlier)
 
 
 def test_fit_seed_changes_forest(small_data):
@@ -640,25 +639,21 @@ def test_score_samples_new_data(small_model):
 
 def test_threshold_labeling_example():
     scores = np.array([0.7, 0.4, 0.45])
-    labels = label_scores(scores, ScoreThreshold(0.5))
-    assert labels.tolist() == ["Outlier", "Inlier", "Inlier"]
+    assert label_scores(scores, ScoreThreshold(0.5)).tolist() == [True, False, False]
 
 
 def test_threshold_boundary_is_outlier():
-    labels = label_scores(np.array([0.5, 0.49999]), ScoreThreshold(0.5))
-    assert labels.tolist() == ["Outlier", "Inlier"]
+    assert label_scores(np.array([0.5, 0.49999]), ScoreThreshold(0.5)).tolist() == [True, False]
 
 
 def test_contamination_tie_breaks_to_lower_index():
     scores = np.array([0.6, 0.6, 0.3])
-    labels = label_scores(scores, Contamination(1 / 3))
-    assert labels.tolist() == ["Outlier", "Inlier", "Inlier"]
+    assert label_scores(scores, Contamination(1 / 3)).tolist() == [True, False, False]
 
 
 def test_contamination_count_is_ceiling():
     scores = np.linspace(0.1, 0.9, 10)
-    labels = label_scores(scores, Contamination(0.25))
-    assert (labels == "Outlier").sum() == 3  # ceil(2.5)
+    assert label_scores(scores, Contamination(0.25)).sum() == 3  # ceil(2.5)
 
 
 @pytest.mark.parametrize(
@@ -677,8 +672,8 @@ def test_contamination_count_is_ceiling():
     ],
 )
 def test_contamination_count_of_an_exact_product(fraction, n, count):
-    labels = label_scores(np.linspace(0.1, 0.9, n), Contamination(fraction))
-    assert (labels == OUTLIER).sum() == count
+    is_outlier = label_scores(np.linspace(0.1, 0.9, n), Contamination(fraction))
+    assert is_outlier.dtype == bool and is_outlier.sum() == count
 
 
 def test_contamination_zero_outliers_raises():
@@ -692,9 +687,9 @@ def test_cutoff_follows_label_rule(small_data):
     rule = ScoreThreshold(0.6)
     assert fit(small_data, ForestParams(n_trees=10, seed=1, label_rule=rule)).cutoff == 0.6
     model = fit(small_data, ForestParams(n_trees=10, seed=1, label_rule=Contamination(0.1)))
-    assert model.cutoff == model.scores[model.labels == OUTLIER].min()
+    assert model.cutoff == model.scores[model.is_outlier].min()
     relabelled = label_scores(model.scores, ScoreThreshold(model.cutoff))
-    assert np.array_equal(relabelled, model.labels)
+    assert np.array_equal(relabelled, model.is_outlier)
 
 
 def test_params_validation():

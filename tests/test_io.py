@@ -23,13 +23,11 @@ from iforest_dpg.dpg import (
     build_model_graph,
     predicate_id,
 )
-from iforest_dpg.forest import OUTLIER, Contamination, Dataset, ForestParams, fit, score_samples
+from iforest_dpg.forest import Contamination, Dataset, ForestParams, fit, score_samples
 from iforest_dpg.io import (
     IOP_PALETTE,
-    DotStyle,
     export_dot,
     graph_to_dict,
-    iop_color,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -295,7 +293,8 @@ def test_model_save_load_round_trip(tmp_path, small_model):
     loaded = load_model(path)
     assert model_to_dict(loaded) == model_to_dict(model)
     assert np.array_equal(loaded.scores, model.scores)
-    assert np.array_equal(loaded.labels, model.labels)
+    assert np.array_equal(loaded.is_outlier, model.is_outlier)
+    assert loaded.feature_names == model.feature_names == data.feature_names
     assert np.array_equal(
         score_samples(loaded, data.features), score_samples(model, data.features)
     )
@@ -308,7 +307,7 @@ def test_model_json_is_one_compact_line(tmp_path, small_model):
     save_model(path, model)
     text = path.read_text()
     assert text == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     write_explanation_bundle(tmp_path / "bundle", model, g, score_graph(g))
     assert (tmp_path / "bundle" / "model.json").read_text() == text
     assert (tmp_path / "bundle" / "graph.json").read_text().startswith("{\n  ")
@@ -348,14 +347,48 @@ _V2_MODEL = {
     "scores": [0.5, 0.5],
     "labels": ["Outlier", "Outlier"],
 }
+# A version-3 model.json: trees by heap index, training labels, no feature names.
+_V3_MODEL = {
+    "schema_version": 3,
+    "params": _PARAMS,
+    "n_train": 2,
+    "cutoff": 0.5,
+    "trees": [{"node": [0], "feature": [0], "split": [0.5], "size": [1, 1]}],
+    "scores": [0.5, 0.5],
+    "labels": ["Outlier", "Outlier"],
+}
 
 
 def test_model_rejects_wrong_schema_version(small_model):
     _, model = small_model
     wrong = {**model_to_dict(model), "schema_version": 99}
-    for version, doc in ((99, wrong), (1, _V1_MODEL), (2, _V2_MODEL)):
+    # Each old document loads once it is a version-4 one: only its version is refused.
+    v3_as_v4 = {**_V3_MODEL, "schema_version": 4, "feature_names": ["a"]}
+    del v3_as_v4["labels"]
+    assert model_from_dict(v3_as_v4).is_outlier.tolist() == [True, True]
+    for version, doc in ((99, wrong), (1, _V1_MODEL), (2, _V2_MODEL), (3, _V3_MODEL)):
         with pytest.raises(ValueError, match=f"schema_version: {version}.*train the model again"):
             model_from_dict(doc)
+
+
+def test_model_feature_names_are_strings_covering_the_split_features(small_model):
+    # Names may repeat, as CSV headers may; there must be one for each column
+    # up to the highest one a tree splits on.
+    _, model = small_model
+    doc = model_to_dict(model)
+    width = model.forest.width
+    assert doc["feature_names"] == ["F0", "F1", "F2"] and width == 3
+    for names in (["x"] * width, ["a", "b", "c", "extra"]):
+        assert model_from_dict({**doc, "feature_names": names}).feature_names == names
+    for names, message in (
+        (["F0", "F1"], "is not 3 or more strings"),
+        ([], "is not 3 or more strings"),
+        (["F0", "F1", 2], "is not 3 or more strings"),
+        ("F0F1F2", "is a str"),
+        (None, "is a NoneType"),
+    ):
+        with pytest.raises(ValueError, match=f"malformed model file: 'feature_names' {message}"):
+            model_from_dict({**doc, "feature_names": names})
 
 
 def test_model_rejects_documents_that_are_not_objects():
@@ -516,28 +549,6 @@ def test_write_graph_json(tmp_path):
 # DOT export
 
 
-def test_iop_color_endpoints_and_midpoint():
-    style = DotStyle()
-    assert iop_color(style, -1.0) == "#67001f"
-    assert iop_color(style, 1.0) == "#053061"
-    assert iop_color(style, 0.0) == "#f7f7f7"
-    with pytest.raises(ValueError):
-        iop_color(style, 1.5)
-    with pytest.raises(ValueError):
-        iop_color(style, -1.0001)
-
-
-def test_dot_style_validation():
-    with pytest.raises(ValueError):
-        DotStyle(iop_palette=("#000000", "#ffffff"))
-    with pytest.raises(ValueError):
-        DotStyle(iop_palette=("#000000",))
-    with pytest.raises(ValueError):
-        DotStyle(edge_width=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        DotStyle(edge_width=(0.0, 6.0))
-
-
 def test_export_dot_structure():
     g = _tiny_graph()
     text = export_dot(g, score_graph(g))
@@ -557,28 +568,33 @@ def test_export_dot_structure():
     assert "[label=\"Source\"" not in body
 
 
-def test_export_dot_show_source():
-    g = _tiny_graph()
-    text = export_dot(g, score_graph(g), DotStyle(show_source=True))
-    assert '"SOURCE" [label="Source", shape=point];' in text
-    assert '"SOURCE" -> "F0_LE"' in text
-
-
 def test_export_dot_dark_fills_get_white_text():
-    g = _tiny_graph()
-    text = export_dot(g, score_graph(g))
-    for line in text.splitlines():
-        if '"F0_LE"' in line and "label=" in line:
-            assert 'fillcolor="#053061"' in line  # iop +1
-            assert 'fontcolor="#ffffff"' in line
-        if '"F0_GT"' in line and "label=" in line:
-            assert 'fillcolor="#67001f"' in line  # iop -1
-            assert 'fontcolor="#ffffff"' in line
+    # IOP +1 and -1 take the palette's dark endpoints, IOP 0 (one trace of
+    # each class at equal weights) its light midpoint.
+    even = graph_of(
+        {
+            (SOURCE_ID, "F0_LE"): (1, 1),
+            ("F0_LE", INLIER_ID): (1, 0),
+            ("F0_LE", OUTLIER_ID): (0, 1),
+        },
+        1,
+        ClassWeights(w_o=2.0, w_i=2.0, n_o=1, n_i=1),
+    )
+    for g, fills in (
+        (_tiny_graph(), {"F0_LE": "#053061", "F0_GT": "#67001f"}),
+        (even, {"F0_LE": "#f7f7f7"}),
+    ):
+        nodes = [line for line in export_dot(g, score_graph(g)).splitlines() if "fillcolor" in line]
+        assert len(nodes) == len(fills)
+        for line in nodes:
+            fill = fills[line.split('"')[1]]
+            assert f'fillcolor="{fill}"' in line
+            assert ('fontcolor="#ffffff"' in line) == (fill != "#f7f7f7")
 
 
 def test_export_dot_penwidths_bounded_and_monotone(small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     text = export_dot(g, score_graph(g))
     widths = {}
     for line in text.splitlines():
@@ -631,7 +647,7 @@ def test_export_dot_requires_full_report_coverage():
 
 def test_export_dot_deterministic(small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
     assert export_dot(g, report) == export_dot(g, report)
 
@@ -651,7 +667,7 @@ BUNDLE_FILES = [
 
 def test_bundle_writes_all_files_with_matching_hashes(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
 
     input_csv = tmp_path / "input.csv"
@@ -679,7 +695,7 @@ def test_bundle_writes_all_files_with_matching_hashes(tmp_path, small_model):
 
 def test_bundle_rerun_is_byte_identical(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
     a, b = tmp_path / "a", tmp_path / "b"
     write_explanation_bundle(a, model, g, report)
@@ -691,11 +707,11 @@ def test_bundle_rerun_is_byte_identical(tmp_path, small_model):
 def test_bundle_write_streams_model_json(tmp_path):
     # The bundle write holds no whole copy of model.json, as text or as
     # Python lists: its traced peak stays below the file's size. 20 000
-    # training rows make the scores and labels several pieces long.
+    # training rows make the scores several pieces long.
     rng = np.random.default_rng(3)
     data = Dataset(features=rng.normal(size=(20_000, 3)), feature_names=["a", "b", "c"])
     model = fit(data, ForestParams(n_trees=10, seed=3, label_rule=Contamination(0.01)))
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
     tracemalloc.start()
     try:
@@ -712,7 +728,7 @@ def test_bundle_write_streams_model_json(tmp_path):
 
 def test_bundle_unwritable_target_raises_oserror(tmp_path, small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory\n")

@@ -18,7 +18,7 @@ from iforest_dpg.dpg import (
     build_model_graph,
     predicate_id,
 )
-from iforest_dpg.forest import OUTLIER, Contamination, Dataset, ForestParams, fit
+from iforest_dpg.forest import Contamination, Dataset, ForestParams, fit
 from iforest_dpg.metrics import IopEntry, IopReport, iop_score, rank_report, score_graph
 from graph_reference import graph_of
 
@@ -171,7 +171,7 @@ def test_rank_report_rejects_unknown_format():
 
 def test_all_iops_bounded_on_small_model(small_model):
     data, model = small_model
-    report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
+    report = score_graph(build_model_graph(model, data, model.is_outlier))
     assert report.entries, "expected at least one predicate"
     for e in report.entries:
         assert -1.0 <= e.iop <= 1.0
@@ -180,7 +180,7 @@ def test_all_iops_bounded_on_small_model(small_model):
 
 def test_iop_invariant_under_uniform_weight_scaling(small_model):
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     base = score_graph(g)
     w = g.weights
     for scale in (0.25, 3.0, 1e6):
@@ -195,7 +195,7 @@ def test_terminal_difference_identity(small_model):
     # Sum of (f_i - f_o) over predicates equals the terminal inflow
     # difference minus the source's direct terminal contributions.
     data, model = small_model
-    g = build_model_graph(model, data, model.labels == OUTLIER)
+    g = build_model_graph(model, data, model.is_outlier)
     report = score_graph(g)
     lhs = sum(e.f_i - e.f_o for e in report.entries)
     into_i = int(g.c_in[1:, -2].sum())
@@ -218,7 +218,7 @@ def test_iops_bounded_randomized(seed):
         data, ForestParams(n_trees=6, seed=seed, label_rule=Contamination(0.25))
     )
     try:
-        report = score_graph(build_model_graph(model, data, model.labels == OUTLIER))
+        report = score_graph(build_model_graph(model, data, model.is_outlier))
     except SingleClassError:
         return
     for e in report.entries:
