@@ -8,8 +8,8 @@ bit-generator words in the order a recursive grower would draw them. A fitted
 forest is one table (`FlatForest`), its only form: every tree laid out as a
 perfect tree as deep as the depth cap, level by level, so a split writes its
 own slot and a step down a level is arithmetic on a slot index. A route ends
-at one of the last level's slots, and a large routing pass routes half its
-row blocks on a second thread, which changes no score or count. Transition
+at one of the last level's slots, and a large routing pass shares its row
+blocks with a second thread, which changes no score or count. Transition
 counts follow from how many routes end at each final slot, summed pairwise
 up the levels.
 Anomaly scores follow the classic path-length normalization:
@@ -24,7 +24,7 @@ import math
 import os
 import threading
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -533,19 +533,13 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
     visits = np.zeros(len(forest.h), dtype=np.int64)
     scores = anomaly_score(_mean_paths(forest, X, visits), sub_n)
     is_outlier = label_scores(scores, params.label_rule)
-    rule = params.label_rule
-    cutoff = (
-        rule.threshold
-        if isinstance(rule, ScoreThreshold)
-        else float(scores[is_outlier].min())
-    )
     return ForestModel(
         forest=forest,
         params=params,
         n_train=n,
         scores=scores,
         is_outlier=is_outlier,
-        cutoff=cutoff,
+        cutoff=_score_cutoff(scores, is_outlier, params.label_rule),
         feature_names=list(data.feature_names),
         train_visits=visits,
     )
@@ -600,12 +594,14 @@ def _route(forest: FlatForest, X: np.ndarray) -> np.ndarray:
     return slot.reshape(n_trees, n)
 
 
-# Pairs a routing pass must route before half its blocks go to a helper
-# thread. The thread's own malloc arena adds about 0.9 MB to peak memory,
-# more than the time saved is worth on a fixture-sized pass (40 000 pairs);
-# a pass of 50 000 rows through 200 trees (10**7 pairs) routes about a
-# third faster on two cores.
-_THREAD_PAIRS = 1 << 20
+# Pairs a routing pass must route before a helper thread shares its blocks.
+# The thread's own malloc arena adds about 0.9 MB to peak memory, more than
+# the time saved is worth on a fixture-sized pass (40 000 pairs) or a graph
+# build's outlier rows (10**5 at 50 000 x 20); a pass of 50 000 rows through
+# 200 trees (10**7 pairs) routes about a third faster on two cores. At 2**19,
+# each of `score`'s 4096-row blocks still routes on two threads through 128
+# trees or more.
+_THREAD_PAIRS = 1 << 19
 
 # Threads that route one pass: the caller, and a helper on a second core.
 _THREADS = min(2, os.cpu_count() or 1)
@@ -621,17 +617,18 @@ def _route_pass(
 
     Writes each row's path lengths, summed tree by tree in tree order, into
     `paths` and adds the number of rows that end at each final slot into
-    `visits`; either may be None. A large pass routes the second half of its
-    blocks on a helper thread, which counts into its own `visits`, added in
-    at the end; integer sums and per-row sums do not depend on the split, so
-    neither does the output. An exception in the helper is raised in the
-    caller.
+    `visits`; either may be None. In a large pass the caller and a helper
+    thread each take the next block not yet taken until none is left, so
+    neither waits long for the other at the end; the helper counts into its
+    own `visits`, added in at the end. Integer sums and per-row sums do not
+    depend on which thread routed a block, so neither does the output. An
+    exception in the helper is raised in the caller.
     """
     _check_width(forest, X.shape[1])
     step = max(1, _BLOCK_PAIRS // forest.n_trees)
     starts = range(0, len(X), step)
 
-    def route(blocks: range, counts: np.ndarray | None) -> None:
+    def route(blocks: Iterable[int], counts: np.ndarray | None) -> None:
         for start in blocks:
             ends = _route(forest, X[start : start + step])
             if paths is not None:
@@ -644,20 +641,32 @@ def _route_pass(
     if _THREADS < 2 or len(starts) < 2 or forest.n_trees * len(X) < _THREAD_PAIRS:
         route(starts, visits)
         return
-    half = len(starts) // 2
+    pending = iter(starts)
+    claim = threading.Lock()
+
+    def unclaimed() -> Iterator[int]:
+        """The starts of the blocks neither thread has taken, one at a time;
+        the lock keeps a block from going to both."""
+        while True:
+            with claim:
+                start = next(pending, None)
+            if start is None:
+                return
+            yield start
+
     helper_visits = None if visits is None else np.zeros_like(visits)
     failed: list[BaseException] = []
 
     def helper() -> None:
         try:
-            route(starts[half:], helper_visits)
+            route(unclaimed(), helper_visits)
         except BaseException as exc:  # re-raised in the caller below
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="iforest-dpg-route")
     thread.start()
     try:
-        route(starts[:half], visits)
+        route(unclaimed(), visits)
     finally:
         thread.join()
     if failed:
@@ -775,3 +784,14 @@ def label_scores(
     is_outlier = np.zeros(len(scores), dtype=bool)
     is_outlier[np.argsort(-scores, kind="stable")[:k]] = True
     return is_outlier
+
+
+def _score_cutoff(
+    scores: np.ndarray, is_outlier: np.ndarray, rule: ScoreThreshold | Contamination
+) -> float:
+    """The score cutoff of training `scores` labelled `is_outlier` by `rule`:
+    the rule's threshold for ScoreThreshold, and the lowest score of a
+    training outlier for Contamination."""
+    if isinstance(rule, ScoreThreshold):
+        return rule.threshold
+    return float(scores[is_outlier].min())

@@ -1,9 +1,10 @@
 """File formats: CSV ingestion/emission, JSON persistence, DOT export, bundles.
 
-CSV data rows are parsed in one `np.loadtxt` pass; a numeric cell is an
-ASCII decimal or exponent number, inf or nan (the last two rejected as
-non-finite), optionally quoted and padded with whitespace. Only a file that
-fails is scanned again cell by cell, to name the first fault by file row.
+CSV data rows are parsed by `np.loadtxt`, in one pass or a block of rows at a
+time; a numeric cell is an ASCII decimal or exponent number, inf or nan (the
+last two rejected as non-finite), optionally quoted and padded with
+whitespace. Only a file that fails is scanned again cell by cell, to name the
+first fault by file row.
 
 All JSON documents carry a top-level schema_version: 4 for model.json, which
 stores the feature names and each tree's splits by heap index, the numbering
@@ -22,7 +23,7 @@ import json
 import math
 import platform
 import warnings
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -48,6 +49,7 @@ from .forest import (
     ScoreThreshold,
     SingleClassError,
     _rule_to_dict,
+    _score_cutoff,
     label_scores,
     max_tree_depth,
 )
@@ -98,57 +100,52 @@ def read_csv(
 
     The header is the first non-blank row, read with `csv`; the data rows are
     parsed by one `np.loadtxt` call (comma-delimited, '"' quoting, no comment
-    character, blank lines skipped). Label tokens map case-insensitively:
-    o/outlier/1 to Outlier and n/inlier/0 to Inlier. A file loadtxt refuses,
-    or one with a non-finite cell, is scanned again cell by cell to name its
-    first fault; row numbers in those messages are 1-based file rows,
-    counting the header and blank lines.
+    character, blank lines skipped): `read_csv_blocks` with one block. Label
+    tokens map case-insensitively: o/outlier/1 to Outlier and n/inlier/0 to
+    Inlier. A file loadtxt refuses, or one with a non-finite cell, is scanned
+    again cell by cell to name its first fault; row numbers in those
+    messages are 1-based file rows, counting the header and blank lines.
+    """
+    return next(read_csv_blocks(path, has_header, label_column))
+
+
+def read_csv_blocks(
+    path: str | Path,
+    has_header: bool = True,
+    label_column: str | int | None = None,
+    rows: int | None = None,
+) -> Iterator[Dataset]:
+    """`read_csv`'s dataset, `rows` data rows at a time (all of them when
+    None), as successive `np.loadtxt(..., max_rows=rows)` calls on one open
+    file.
+
+    Each cell parses as it would in one call, so the blocks' features joined
+    are `read_csv`'s bit for bit, with the same names and labels. A block
+    that loadtxt refuses, that is not the first block's width, that holds a
+    non-finite cell, or a file with no data rows, raises `read_csv`'s error
+    for the whole file when that block is read; earlier blocks have been
+    yielded by then. Blank lines do not count toward `max_rows`, so a read
+    of 0 rows, or of fewer than `rows`, is the end of the file.
     """
     path = Path(path)
-    data = _load_csv(path, has_header, label_column)
-    if data is None:
-        _raise_csv_fault(path, has_header, label_column)
-    return data
-
-
-def _load_csv(
-    path: Path, has_header: bool, label_column: str | int | None
-) -> Dataset | None:
-    """The parse itself, or None when the file has a fault to report."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header: list[str] | None = None
-        if has_header:
-            header = next((row for row in csv.reader(fh) if row), None)
-            if header is None:
-                return None
-            header = [cell.strip() for cell in header]
-        label_idx: int | None = None
-        if isinstance(label_column, str):
-            if header is None or label_column not in header:
-                return None
-            label_idx = header.index(label_column)
-        elif label_column is not None:
-            label_idx = int(label_column)
-            if label_idx < 0:
-                return None
-        try:
-            with warnings.catch_warnings():
-                # A file without data rows is reported by the scan instead.
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                table = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    dtype=np.float64,
-                    ndmin=2,
-                    converters=None if label_idx is None else {label_idx: _label_code},
-                )
-        except ValueError:
-            return None
+        complete = yield from _csv_blocks(fh, has_header, label_column, rows)
+    if not complete:
+        _raise_csv_fault(path, has_header, label_column)
 
+
+def _csv_blocks(
+    fh, has_header: bool, label_column: str | int | None, rows: int | None
+) -> Generator[Dataset, None, bool]:
+    """`read_csv_blocks`' blocks of the open file `fh`; returns True at the
+    end of the file, and False at the first block with a fault to report."""
+    layout = _csv_layout(fh, has_header, label_column)
+    if layout is None:
+        return False
+    header, label_idx = layout
+    table = _load_rows(fh, label_idx, rows)
+    if table is None:
+        return False
     n_rows, width = table.shape
     feature_cols = [j for j in range(width) if j != label_idx]
     if (
@@ -157,18 +154,72 @@ def _load_csv(
         or (header is not None and len(header) != width)
         or (label_idx is not None and label_idx >= width)
     ):
+        return False
+    names = _feature_names(header, feature_cols)
+    while True:
+        features = table if label_idx is None else table[:, feature_cols]
+        if not np.isfinite(features).all():
+            return False
+        labels = None
+        if label_idx is not None:
+            labels = np.where(table[:, label_idx] == 1.0, OUTLIER, INLIER)
+        yield Dataset(features=features, feature_names=list(names), labels=labels)
+        if rows is None or len(table) < rows:
+            return True
+        table = _load_rows(fh, label_idx, rows)
+        if table is not None and len(table) == 0:
+            return True
+        if table is None or table.shape[1] != width:
+            return False
+
+
+def _csv_layout(
+    fh, has_header: bool, label_column: str | int | None
+) -> tuple[list[str] | None, int | None] | None:
+    """Read the header off `fh`; return it (None without one) and the label
+    column's index, or None when either is a fault to report."""
+    header: list[str] | None = None
+    if has_header:
+        header = next((row for row in csv.reader(fh) if row), None)
+        if header is None:
+            return None
+        header = [cell.strip() for cell in header]
+    if label_column is None:
+        return header, None
+    if isinstance(label_column, str):
+        if header is None or label_column not in header:
+            return None
+        return header, header.index(label_column)
+    label_idx = int(label_column)
+    return (header, label_idx) if label_idx >= 0 else None
+
+
+def _load_rows(fh, label_idx: int | None, rows: int | None) -> np.ndarray | None:
+    """The next `rows` data rows of `fh` (all when None) as a 2-D float64
+    table, or None when loadtxt refuses them."""
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows is reported by the scan instead, and
+            # a later block without rows is the end of the file. Blank lines
+            # are skipped, as they always were, whether or not `rows` is set.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            warnings.filterwarnings(
+                "ignore", "Input line [0-9]+ contained no data", UserWarning
+            )
+            return np.loadtxt(
+                fh,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                dtype=np.float64,
+                ndmin=2,
+                max_rows=rows,
+                converters=None if label_idx is None else {label_idx: _label_code},
+            )
+    except ValueError:
         return None
-    features = table if label_idx is None else table[:, feature_cols]
-    if not np.isfinite(features).all():
-        return None
-    labels = None
-    if label_idx is not None:
-        labels = np.where(table[:, label_idx] == 1.0, OUTLIER, INLIER)
-    return Dataset(
-        features=features,
-        feature_names=_feature_names(header, feature_cols),
-        labels=labels,
-    )
 
 
 def _raise_csv_fault(
@@ -176,8 +227,9 @@ def _raise_csv_fault(
 ) -> NoReturn:
     """Scan the file cell by cell and raise a ValueError naming its first fault.
 
-    The cold path of read_csv: it runs only when the parse failed, and reads
-    a cell as numeric exactly when loadtxt does (`_cell_value`).
+    The cold path of `read_csv_blocks`: it runs only when a block failed, over
+    the whole file whichever block that was, and reads a cell as numeric
+    exactly when loadtxt does (`_cell_value`).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
@@ -445,8 +497,10 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
 
     The training outlier mask is the label rule applied to the saved scores,
     as fit applied it, not `scores >= cutoff`: a training row that ties the
-    Contamination cutoff can be an Inlier. Files of another schema_version,
-    model.json versions 1 to 3 included, are rejected rather than converted.
+    Contamination cutoff can be an Inlier. The saved cutoff must be the one
+    fit derives from those scores and that rule (`_score_cutoff`). Files of
+    another schema_version, model.json versions 1 to 3 included, are
+    rejected rather than converted.
     """
     if not isinstance(obj, dict):
         raise _malformed(f"expected an object, got {type(obj).__name__}")
@@ -492,13 +546,19 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
                 f"'feature_names' is not {forest.width} or more strings, "
                 "one per column the trees may split on"
             )
+        is_outlier = label_scores(scores, params.label_rule)
+        cutoff = _score_cutoff(scores, is_outlier, params.label_rule)
+        if _number(obj, "cutoff") != cutoff:
+            raise _malformed(
+                f"'cutoff' is {obj['cutoff']!r}, but its scores and label rule give {cutoff!r}"
+            )
         return ForestModel(
             forest=forest,
             params=params,
             n_train=n_train,
             scores=scores,
-            is_outlier=label_scores(scores, params.label_rule),
-            cutoff=_number(obj, "cutoff"),
+            is_outlier=is_outlier,
+            cutoff=cutoff,
             feature_names=names,
         )
     # fit never saves a rule that labels no training row Outlier.

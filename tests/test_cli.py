@@ -253,6 +253,57 @@ def test_score_single_row_matches_batch(tmp_path, capsys, fixture_csv):
     assert record["score"] == batch[5]["score"]
 
 
+def test_score_in_blocks_writes_the_same_bytes(tmp_path, capsys, fixture_csv, monkeypatch):
+    # 200 rows in blocks of 7 (the last one of 4 rows) score, label and
+    # print as the one block of the default size does.
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(
+        capsys,
+        "train", str(fixture_csv),
+        "--trees", "20", "--seed", "7", "--contamination", "0.01",
+        "--out", str(model_path),
+    )
+    assert code == 0
+    outputs = []
+    for block in (cli._SCORE_BLOCK, 7):
+        monkeypatch.setattr(cli, "_SCORE_BLOCK", block)
+        out_csv = tmp_path / f"scores_{block}.csv"
+        argv = ("score", str(fixture_csv), "--model", str(model_path))
+        assert run(capsys, *argv, "--out", str(out_csv))[0] == 0
+        outputs.append((out_csv.read_bytes(), run(capsys, *argv, "--json")[1]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 201
+
+
+def test_score_fault_after_the_first_block(tmp_path, capsys, fixture_csv, monkeypatch):
+    # A bad cell in the third block of 7 rows exits 1 naming its file row,
+    # and leaves no --out file. It is read after the model, so a malformed
+    # model is reported first; a bad cell in the first block still comes
+    # before the model.
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    out_csv = tmp_path / "scores.csv"
+    bad = tmp_path / "bad.csv"
+    rows[16][2] = "oops"  # file row 17, data row 16
+    _write_rows(bad, rows)
+    code, stdout, err = run(
+        capsys, "score", str(bad), "--model", str(model_path), "--out", str(out_csv)
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: non-numeric value 'oops' at row 17, column 'F2'\n"
+    assert not out_csv.exists()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{}")
+    code, _, err = run(capsys, "score", str(bad), "--model", str(broken))
+    assert code == 1 and err.startswith("error: unsupported model schema_version")
+    rows[3][2] = "early"
+    _write_rows(bad, rows)
+    code, _, err = run(capsys, "score", str(bad), "--model", str(broken))
+    assert (code, err) == (1, "error: non-numeric value 'early' at row 4, column 'F2'\n")
+
+
 def test_train_rejects_single_row(tmp_path, capsys, fixture_csv):
     with open(fixture_csv, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -332,6 +383,26 @@ def test_tied_training_rows_keep_the_rule_labels_after_loading(tmp_path, capsys)
     assert labels.count("Outlier") == 2
 
 
+def test_score_rejects_an_edited_cutoff(tmp_path, capsys, fixture_csv):
+    # Fixture one's contamination model saves the lowest training outlier
+    # score as its cutoff; edited to 0.99 it would label no row Outlier.
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(
+        capsys,
+        "train", str(fixture_csv),
+        "--trees", "20", "--seed", "7", "--contamination", "0.01",
+        "--out", str(model_path),
+    )
+    assert code == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["cutoff"] == min(sorted(doc["scores"])[-2:])
+    doc["cutoff"] = 0.99
+    model_path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: malformed model file: 'cutoff' is 0.99, but its scores")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -399,7 +470,9 @@ _OTHER_TYPES = (7, 1.5, "x", True, None, [], {})
 
 def _mutate(doc, data):
     paths = list(_paths(doc))
-    action = data.draw(st.sampled_from(["drop", "truncate", "index", "type", "names"]))
+    action = data.draw(
+        st.sampled_from(["drop", "truncate", "index", "type", "names", "cutoff"])
+    )
     if action == "drop":
         path = data.draw(st.sampled_from([p for p, _ in paths if isinstance(p[-1], str)]))
         del _parent(doc, path)[path[-1]]
@@ -417,6 +490,13 @@ def _mutate(doc, data):
         cap = max_tree_depth(min(doc["params"]["max_subsample"], doc["n_train"]))
         tree["node"][i] = data.draw(
             st.integers(max_value=previous) | st.integers(min_value=(1 << cap) - 1)
+        )
+    elif action == "cutoff":
+        # Any other finite cutoff than the one the scores and rule give.
+        doc["cutoff"] = data.draw(
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda c: c != doc["cutoff"]
+            )
         )
     elif action == "names":
         # Names a loader accepts but the data's header does not match: one
@@ -440,7 +520,8 @@ def _mutate(doc, data):
 @given(data=st.data())
 def test_score_rejects_every_mutated_model(saved_model, data):
     # Drop a key, truncate an array, move a split's heap index back or past
-    # the depth cap, change a type, or rename or reorder the feature names:
+    # the depth cap, change a type, edit the cutoff, or rename or reorder the
+    # feature names:
     # loading or the column check must fail with exit 1, no traceback.
     csv_path, doc = saved_model
     doc = json.loads(json.dumps(doc))

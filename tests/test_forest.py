@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -299,7 +300,11 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
 
 def _route_on_two_threads(monkeypatch, n_trees):
     """Make every routing pass use the helper thread, in blocks of 3 rows;
-    return the set of thread idents that `_route` ran on."""
+    return the set of thread idents that `_route` ran on.
+
+    Each block gives up the interpreter lock once, as the numpy steps of a
+    full-size block do, so both threads keep taking blocks.
+    """
     monkeypatch.setattr(forest_module, "_THREAD_PAIRS", 0)
     monkeypatch.setattr(forest_module, "_THREADS", 2)
     monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 3 * n_trees)
@@ -308,6 +313,7 @@ def _route_on_two_threads(monkeypatch, n_trees):
 
     def recording(forest, X):
         threads.add(threading.get_ident())
+        time.sleep(0)
         return route_block(forest, X)
 
     monkeypatch.setattr(forest_module, "_route", recording)
@@ -315,8 +321,9 @@ def _route_on_two_threads(monkeypatch, n_trees):
 
 
 def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
-    # Splitting a pass's blocks between the caller and a helper thread must
-    # not change one bit of the scores, the leaf visits or the counts.
+    # Sharing a pass's blocks between the caller and a helper thread must
+    # not change one bit of the scores, the leaf visits or the counts, nor
+    # route a block twice or not at all.
     params = ForestParams(n_trees=25, seed=11, label_rule=Contamination(0.05))
     serial = fit(small_data, params)
     serial_visits = forest_module._leaf_visits(serial.forest, small_data.features)

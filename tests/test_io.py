@@ -23,7 +23,14 @@ from iforest_dpg.dpg import (
     build_model_graph,
     predicate_id,
 )
-from iforest_dpg.forest import Contamination, Dataset, ForestParams, fit, score_samples
+from iforest_dpg.forest import (
+    Contamination,
+    Dataset,
+    ForestParams,
+    ScoreThreshold,
+    fit,
+    score_samples,
+)
 from iforest_dpg.io import (
     IOP_PALETTE,
     export_dot,
@@ -32,6 +39,7 @@ from iforest_dpg.io import (
     model_from_dict,
     model_to_dict,
     read_csv,
+    read_csv_blocks,
     save_model,
     write_dataset_csv,
     write_explanation_bundle,
@@ -258,6 +266,108 @@ def test_csv_matches_reference_parser(tmp_path_factory, case):
     assert _csv_outcome(read_csv, path, has_header, label_column) == expected
 
 
+def _joined(blocks) -> Dataset:
+    """One dataset of `read_csv_blocks`' blocks, which must share their names."""
+    blocks = list(blocks)
+    assert len({tuple(b.feature_names) for b in blocks}) == 1
+    labels = [b.labels for b in blocks]
+    return Dataset(
+        features=np.concatenate([b.features for b in blocks]),
+        feature_names=blocks[0].feature_names,
+        labels=None if labels[0] is None else np.concatenate(labels),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_case(), rows=st.integers(1, 4))
+def test_csv_blocks_join_to_read_csv(tmp_path_factory, case, rows):
+    # Blocks of a few rows, joined: read_csv's features bit for bit, names
+    # and labels, or its error message.
+    content, has_header, label_column = case
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_bytes(content)
+
+    def joined(path, **kwargs):
+        return _joined(read_csv_blocks(path, rows=rows, **kwargs))
+
+    expected = _csv_outcome(read_csv, path, has_header, label_column)
+    assert _csv_outcome(joined, path, has_header, label_column) == expected
+
+
+def _numbered_rows(n, width=2):
+    return [",".join(str(10 * i + j) for j in range(width)) for i in range(n)]
+
+
+_BLOCK_FILES = {
+    # rows=3 throughout.
+    "bom": b"\xef\xbb\xbfx,y\n" + "\n".join(_numbered_rows(7)).encode() + b"\n",
+    # A run of blank lines from the end of the first block into the second,
+    # and blank lines and CRLF endings elsewhere.
+    "blank lines": "x,y\r\n\r\n1,2\r\n3,4\r\n5,6\r\n\r\n\r\n\r\n7,8\r\n\r\n9,10\r\n\r\n".encode(),
+    "label column": b"a,lab,b\n1,o,2\n3,n,4\n5,Inlier,6\n7, outlier ,8\n9,0,10\n",
+    "quoted cells": b'x,y\n"1.5"," 2 "\n3,"-4e1"\n" 5\t",6\n"7","8"\n',
+    "2 blocks": ("x,y\n" + "\n".join(_numbered_rows(6)) + "\n").encode(),
+    "2 blocks and a row": ("x,y\n" + "\n".join(_numbered_rows(7))).encode(),
+    "1 block": ("x,y\n" + "\n".join(_numbered_rows(3)) + "\n\n").encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FILES))
+def test_csv_blocks_of_known_files(tmp_path, name):
+    path = tmp_path / "d.csv"
+    path.write_bytes(_BLOCK_FILES[name])
+    label_column = "lab" if name == "label column" else None
+    whole = read_csv(path, label_column=label_column)
+    with warnings.catch_warnings():
+        # numpy warns of each blank line a block skips; the reader does not.
+        warnings.simplefilter("error")
+        blocks = list(read_csv_blocks(path, label_column=label_column, rows=3))
+    # Every block but the last is full, and the last is not empty.
+    assert [b.n_samples for b in blocks[:-1]] == [3] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].n_samples <= 3
+    assert sum(b.n_samples for b in blocks) == whole.n_samples
+    back = _joined(blocks)
+    assert back.features.tobytes() == whole.features.tobytes()
+    assert back.feature_names == whole.feature_names
+    if label_column is None:
+        assert back.labels is None and whole.labels is None
+    else:
+        assert back.labels.tolist() == whole.labels.tolist()
+    # rows=None is read_csv's one block.
+    [one] = read_csv_blocks(path, label_column=label_column)
+    assert one.features.tobytes() == whole.features.tobytes()
+
+
+@pytest.mark.parametrize(
+    "late_row,kwargs",
+    [
+        ("7,oops", {}),
+        ("7,inf", {}),
+        ("7,8,9", {}),
+        ("7", {}),
+        ("7,maybe", {"label_column": "y"}),
+    ],
+)
+@pytest.mark.parametrize("rows_after", [0, 3])
+def test_csv_block_fault_after_the_first_block(tmp_path, late_row, kwargs, rows_after):
+    # The first block is yielded; the block holding the fault raises
+    # read_csv's message, which names the fault's file row. With rows after
+    # it, a ragged row is one row of its block; without, its block's width.
+    good = ["1,1", "2,0", "3,1", "4,0"]
+    lines = ["x,y", *good, "", late_row, *good[:rows_after]]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as whole:
+        read_csv(path, **kwargs)
+    assert "at row 7" in str(whole.value)
+    blocks = read_csv_blocks(path, rows=2, **kwargs)
+    assert next(blocks).features.tolist() == ([[1], [2]] if kwargs else [[1, 1], [2, 0]])
+    next(blocks)
+    with pytest.raises(ValueError) as late:
+        next(blocks)
+    assert str(late.value) == str(whole.value)
+
+
 def test_injection_log_round_trips_floats(tmp_path):
     cfg = SynthConfig(
         n_samples=20,
@@ -369,6 +479,17 @@ def test_model_rejects_wrong_schema_version(small_model):
     for version, doc in ((99, wrong), (1, _V1_MODEL), (2, _V2_MODEL), (3, _V3_MODEL)):
         with pytest.raises(ValueError, match=f"schema_version: {version}.*train the model again"):
             model_from_dict(doc)
+
+
+def test_model_rejects_a_cutoff_its_rule_does_not_give(small_data):
+    # The cutoff is the threshold of a ScoreThreshold rule, and the lowest
+    # score of a training outlier for Contamination; any other is malformed.
+    for rule, other in ((ScoreThreshold(0.55), 0.5), (Contamination(0.05), 0.55)):
+        model = fit(small_data, ForestParams(n_trees=5, seed=1, label_rule=rule))
+        doc = model_to_dict(model)
+        assert model_from_dict(doc).cutoff == model.cutoff
+        with pytest.raises(ValueError, match="malformed model file: 'cutoff' is"):
+            model_from_dict({**doc, "cutoff": other})
 
 
 def test_model_feature_names_are_strings_covering_the_split_features(small_model):
