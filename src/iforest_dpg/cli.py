@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,8 @@ from .synth import (
     generate,
 )
 
-# Reference outlier fractions used by `repro`: 1/200 and 4/200 for the two
-# synthetic fixtures, 3.61% for the thyroid benchmark layout.
-FIXTURE_CONTAMINATION = {"one": 1 / 200, "two": 4 / 200}
+# The outlier fraction `repro --dataset` assumes for the thyroid benchmark
+# layout; a fixture's is its injected share.
 DATASET_CONTAMINATION = 0.0361
 
 # Predicates that must come out negative, per experiment.
@@ -223,17 +223,20 @@ def _check_seed(seed: int) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.fixture is not None:
-        if args.inject or args.means or args.stds:
-            raise ValueError("--fixture cannot be combined with --inject/--means/--stds")
+        custom = (args.samples, args.features, args.inject, args.means, args.stds)
+        if any(flag is not None for flag in custom):
+            raise ValueError(
+                "--fixture cannot be combined with --samples/--features/--inject/--means/--stds"
+            )
         make = fixture_one if args.fixture == "one" else fixture_two
         data, log = make(seed=args.seed)
     else:
         injections = tuple(_parse_injection(s) for s in args.inject or ())
         config = SynthConfig(
-            n_samples=args.samples,
-            n_features=args.features,
-            cluster_means=_parse_float_list(args.means, "--means") if args.means else None,
-            cluster_stds=_parse_float_list(args.stds, "--stds") if args.stds else None,
+            n_samples=200 if args.samples is None else args.samples,
+            n_features=6 if args.features is None else args.features,
+            cluster_means=None if args.means is None else _parse_float_list(args.means, "--means"),
+            cluster_stds=None if args.stds is None else _parse_float_list(args.stds, "--stds"),
             injections=injections,
             seed=args.seed,
         )
@@ -446,125 +449,102 @@ def _print_repro(
     print(f"overall: {'PASS' if overall else 'FAIL'}")
 
 
-def _most_negative(iops: dict[Predicate, float], k: int) -> set[Predicate]:
-    order = sorted(iops.items(), key=lambda kv: (kv[1], predicate_id(kv[0])))
-    return {p for p, _ in order[:k]}
-
-
-def _repro_fixture(args: argparse.Namespace) -> int:
-    which = args.fixture
-    negative = FIXTURE_NEGATIVE_SET[which]
-    rule = Contamination(FIXTURE_CONTAMINATION[which])
-    injected = {0} if which == "one" else {0, 1, 2, 3}
-
+def _repro(
+    args: argparse.Namespace, draw: Callable[[int], Dataset], fraction: float, gates: list[tuple]
+) -> int:
+    """Explain `draw(seed)` for each seed, labelling the top `fraction` (or
+    --contamination) Outlier, and count the seeds each (name, threshold,
+    passes(iops, detected)) gate passes: it needs threshold * seeds hits."""
+    rule = Contamination(fraction if args.contamination is None else args.contamination)
     per_seed: list[dict[Predicate, float]] = []
-    detect_top3 = 0
-    all_negative = 0
-    names: list[str] | None = None
+    hits = [0] * len(gates)
     for seed in range(args.seed, args.seed + args.seeds):
-        make = fixture_one if which == "one" else fixture_two
-        data, _ = make(seed=seed)
-        names = data.feature_names
-        params = ForestParams(
-            n_trees=args.trees, seed=seed, label_rule=rule
+        data = draw(seed)
+        iops, detected = _repro_seed(
+            data, ForestParams(n_trees=args.trees, seed=seed, label_rule=rule)
         )
-        iops, detected = _repro_seed(data, params)
         per_seed.append(iops)
-
-        neg_ok = all(iops.get(p, 1.0) < 0 for p in negative)
-        top3_ok = _most_negative(iops, 3) == set(negative)
-        # Fixture one's check also demands the injected sample be the
-        # labeled outlier; fixture two's is a pure sign/rank check.
-        detect_ok = detected == injected if which == "one" else True
-        if detect_ok and top3_ok and neg_ok:
-            detect_top3 += 1
-        if neg_ok:
-            all_negative += 1
-
-    neg_names = ", ".join(predicate_label(p, names) for p in negative)
-    if which == "one":
-        checks = [
-            {
-                "name": f"injected sample detected and {{{neg_names}}} are the "
-                "three most negative",
-                "hits": detect_top3,
-                "threshold": 0.90,
-                "pass": detect_top3 >= 0.90 * args.seeds,
-            },
-            {
-                "name": f"all of {{{neg_names}}} negative",
-                "hits": all_negative,
-                "threshold": 0.95,
-                "pass": all_negative >= 0.95 * args.seeds,
-            },
-        ]
-    else:
-        checks = [
-            {
-                "name": f"{{{neg_names}}} all negative and the three most negative",
-                "hits": detect_top3,
-                "threshold": 0.80,
-                "pass": detect_top3 >= 0.80 * args.seeds,
-            },
-        ]
-    _print_repro(_sign_stats(per_seed), checks, args.seeds, args.seed, names, args.json)
+        hits = [n + passes(iops, detected) for n, (_, _, passes) in zip(hits, gates)]
+    checks = [
+        {"name": name, "hits": n, "threshold": threshold, "pass": n >= threshold * args.seeds}
+        for n, (name, threshold, _) in zip(hits, gates)
+    ]
+    _print_repro(
+        _sign_stats(per_seed), checks, args.seeds, args.seed, data.feature_names, args.json
+    )
     return 0
 
 
-def _repro_dataset(args: argparse.Namespace) -> int:
+def _fixture_experiment(which: str, base_seed: int):
+    """A fixture's (draw, fraction, gates): the injected rows and the outlier
+    fraction are the ground truth of its draw at the base seed (a fixture
+    puts its injected rows first at every seed)."""
+    make = fixture_one if which == "one" else fixture_two
+    first, _ = make(seed=base_seed)
+    injected = {int(i) for i in np.flatnonzero(first.labels == OUTLIER)}
+    negative = FIXTURE_NEGATIVE_SET[which]
+    neg_names = ", ".join(predicate_label(p, first.feature_names) for p in negative)
+
+    def all_negative(iops, _):
+        return all(iops.get(p, 1.0) < 0 for p in negative)
+
+    def top3(iops, detected):
+        order = sorted(iops, key=lambda p: (iops[p], predicate_id(p)))
+        return all_negative(iops, detected) and set(order[:3]) == set(negative)
+
+    if which == "one":
+        gates = [
+            (
+                f"injected sample detected and {{{neg_names}}} are the three most negative",
+                0.90,
+                lambda iops, detected: detected == injected and top3(iops, detected),
+            ),
+            (f"all of {{{neg_names}}} negative", 0.95, all_negative),
+        ]
+    else:
+        gates = [(f"{{{neg_names}}} all negative and the three most negative", 0.80, top3)]
+
+    def draw(seed):
+        # The base seed's fixture is the one drawn above, not drawn again.
+        return first if seed == base_seed else make(seed=seed)[0]
+
+    return draw, len(injected) / first.n_samples, gates
+
+
+def _dataset_experiment(args: argparse.Namespace):
+    """The thyroid layout's (draw, fraction, gates) on the --dataset CSV."""
     data = _read_input(args)
     names = data.feature_names
     for required in ("TSH", "T3"):
         if required not in names:
-            raise ValueError(
-                f"dataset repro expects a {required!r} column; found {names}"
-            )
+            raise ValueError(f"dataset repro expects a {required!r} column; found {names}")
     tsh_gt = Predicate(names.index("TSH"), GT)
     t3_gt = Predicate(names.index("T3"), GT)
-    fraction = (
-        args.contamination if args.contamination is not None else DATASET_CONTAMINATION
-    )
-    rule = Contamination(fraction)
 
-    per_seed: list[dict[Predicate, float]] = []
-    hits = 0
-    for seed in range(args.seed, args.seed + args.seeds):
-        params = ForestParams(n_trees=args.trees, seed=seed, label_rule=rule)
-        iops, _ = _repro_seed(data, params)
-        per_seed.append(iops)
-
-        negatives = {p for p, v in iops.items() if v < 0}
-        tsh = iops.get(tsh_gt)
-        unique_min = tsh is not None and all(
-            v > tsh for p, v in iops.items() if p != tsh_gt
+    def thyroid(iops, _):
+        tsh = iops.get(tsh_gt, 0.0)
+        return (
+            tsh < -0.15
+            and all(v > tsh for p, v in iops.items() if p != tsh_gt)
+            and {p for p, v in iops.items() if v < 0} == {tsh_gt, t3_gt}
         )
-        if (
-            unique_min
-            and tsh < -0.15
-            and negatives == {tsh_gt, t3_gt}
-        ):
-            hits += 1
 
-    checks = [
-        {
-            "name": "TSH > is the unique minimum IOP, < -0.15, and T3 > is the "
-            "only other negative predicate",
-            "hits": hits,
-            "threshold": 0.80,
-            "pass": hits >= 0.80 * args.seeds,
-        }
-    ]
-    _print_repro(_sign_stats(per_seed), checks, args.seeds, args.seed, names, args.json)
-    return 0
+    name = (
+        "TSH > is the unique minimum IOP, < -0.15, and T3 > is the only other "
+        "negative predicate"
+    )
+    return lambda seed: data, DATASET_CONTAMINATION, [(name, 0.80, thyroid)]
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     _check_seed(args.seed)
-    if args.fixture is not None:
-        return _repro_fixture(args)
-    return _repro_dataset(args)
+    if args.fixture is None:
+        return _repro(args, *_dataset_experiment(args))
+    if args.no_header or args.label_column is not None:
+        raise ValueError("--fixture cannot be combined with --no-header/--label-column")
+    return _repro(args, *_fixture_experiment(args.fixture, args.seed))
 
 
 def build_parser() -> _Parser:
@@ -578,8 +558,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with injected outliers")
-    p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
-    p.add_argument("--features", type=int, default=6, help="feature count (default 6)")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count (default 200; not with --fixture)")
+    p.add_argument("--features", type=int, default=None,
+                   help="feature count (default 6; not with --fixture)")
     p.add_argument("--means", default=None, help="comma-separated cluster means")
     p.add_argument("--stds", default=None, help="comma-separated cluster stds")
     p.add_argument(
@@ -639,7 +621,10 @@ def build_parser() -> _Parser:
         "--contamination",
         type=float,
         default=None,
-        help="override the per-dataset outlier fraction (default 0.0361 for --dataset)",
+        help=(
+            "label the top ceil(fraction*n) scorers Outlier (default: the fixture's "
+            "injected share, or 0.0361 for --dataset)"
+        ),
     )
     p.add_argument("--json", action="store_true", help="machine-readable stdout")
     p.set_defaults(func=cmd_repro)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from iforest_dpg import cli
 from iforest_dpg.cli import main
+from iforest_dpg.dpg import GT, LE, Predicate, build_model_graph, predicate_id
 from iforest_dpg.forest import (
+    OUTLIER,
     Contamination,
     Dataset,
     ForestParams,
@@ -21,7 +23,9 @@ from iforest_dpg.forest import (
     label_scores,
     max_tree_depth,
 )
-from iforest_dpg.io import load_model, save_model, write_dataset_csv
+from iforest_dpg.io import load_model, read_csv, save_model, write_dataset_csv
+from iforest_dpg.metrics import score_graph
+from iforest_dpg.synth import fixture_one, fixture_two
 
 
 def run(capsys, *argv):
@@ -102,6 +106,37 @@ def test_gen_fixture_conflicts_with_custom_flags(tmp_path, capsys):
     )
     assert code == 1
     assert "--fixture" in err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--samples", "500"], ["--features", "9"], ["--samples", "0"]]
+)
+def test_gen_fixture_rejects_size_flags(tmp_path, capsys, flag):
+    # A fixture is always 200 x 6: a size flag beside it is an input error,
+    # and nothing is written.
+    out = tmp_path / "g"
+    code, stdout, err = run(capsys, "gen", "--fixture", "one", *flag, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == (
+        "error: --fixture cannot be combined with "
+        "--samples/--features/--inject/--means/--stds\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--means", "--stds"])
+def test_gen_rejects_an_empty_list(tmp_path, capsys, flag):
+    code, stdout, err = run(capsys, "gen", flag, "", "--out", str(tmp_path / "g"))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {flag} expects comma-separated numbers, got ''\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_defaults_to_200_by_6(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "gen", "--out", str(tmp_path), "--json")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert (doc["n_samples"], doc["n_features"], doc["n_injected"]) == (200, 6, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +713,162 @@ def test_repro_fixture_json_shape(capsys):
     assert doc["checks"] and all("hits" in c for c in doc["checks"])
     for entry in doc["predicates"]:
         assert set(entry) >= {"id", "label", "mean_iop", "sign_agreement"}
+
+
+@pytest.mark.parametrize(
+    "flag", [["--no-header"], ["--label-column", "F0"], ["--label-column", "0"]]
+)
+def test_repro_fixture_rejects_csv_flags(capsys, flag):
+    # A fixture is not read from a CSV, so the CSV flags have nothing to act on.
+    code, stdout, err = run(
+        capsys, "repro", "--fixture", "one", "--seeds", "1", "--trees", "20", *flag, "--json"
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: --fixture cannot be combined with --no-header/--label-column\n"
+
+
+def test_repro_fixture_checks_its_contamination(capsys):
+    code, stdout, err = run(
+        capsys, "repro", "--fixture", "two", "--seeds", "1", "--trees", "20",
+        "--contamination", "0.7",
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: contamination fraction must be in (0, 0.5), got 0.7\n"
+
+
+# The paper's repro gates, restated here rather than taken from the CLI: each
+# is passes(iops, injected rows, detected rows) for one seed.
+_FIXTURE_ONE_NEGATIVE = {Predicate(4, GT), Predicate(5, GT), Predicate(0, GT)}
+_FIXTURE_TWO_NEGATIVE = {Predicate(0, GT), Predicate(3, LE), Predicate(1, GT)}
+
+
+def _all_negative(negative):
+    return lambda iops, injected, detected: all(iops.get(p, 1.0) < 0 for p in negative)
+
+
+def _three_most_negative(negative):
+    def passes(iops, injected, detected):
+        ranked = sorted(iops, key=lambda p: (iops[p], predicate_id(p)))
+        return _all_negative(negative)(iops, injected, detected) and set(ranked[:3]) == negative
+    return passes
+
+
+def _detected_and_three_most_negative(negative):
+    return lambda iops, injected, detected: (
+        detected == injected and _three_most_negative(negative)(iops, injected, detected)
+    )
+
+
+def _thyroid(iops, injected, detected):
+    # TSH and T3 are columns 1 and 2 of both thyroid-layout CSVs below.
+    tsh, t3 = Predicate(1, GT), Predicate(2, GT)
+    return (
+        tsh in iops
+        and iops[tsh] < -0.15
+        and all(v > iops[tsh] for p, v in iops.items() if p != tsh)
+        and {p for p, v in iops.items() if v < 0} == {tsh, t3}
+    )
+
+
+def _renamed_fixture_csv(tmp_path, capsys, fixture_csv):
+    lines = fixture_csv.read_text().splitlines()
+    lines[0] = "Age,TSH,T3,TT4,FTI,T4U"
+    path = tmp_path / "thyroidish.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _one_outlier_csv(spec):
+    """A thyroid-layout CSV whose row 0 is pushed out by the injection `spec`."""
+    def make(tmp_path, capsys, fixture_csv):
+        out = tmp_path / "gen_one"
+        code, _, _ = run(capsys, "gen", "--features", "4", "--inject", spec, "--out", str(out))
+        assert code == 0
+        lines = (out / "data.csv").read_text().splitlines()
+        lines[0] = "Age,TSH,T3,FTI"
+        path = tmp_path / "one_outlier.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+    return make
+
+
+# id: (target, seeds, extra flags, outlier fraction, [(gate, threshold)])
+_REPRO_CASES = {
+    "fixture one": (
+        "one", 4, [], 1 / 200,
+        [
+            (_detected_and_three_most_negative(_FIXTURE_ONE_NEGATIVE), 0.90),
+            (_all_negative(_FIXTURE_ONE_NEGATIVE), 0.95),
+        ],
+    ),
+    "fixture two": (
+        "two", 3, [], 4 / 200, [(_three_most_negative(_FIXTURE_TWO_NEGATIVE), 0.80)]
+    ),
+    "fixture one --contamination": (
+        "one", 4, ["--contamination", "0.02"], 0.02,
+        [
+            (_detected_and_three_most_negative(_FIXTURE_ONE_NEGATIVE), 0.90),
+            (_all_negative(_FIXTURE_ONE_NEGATIVE), 0.95),
+        ],
+    ),
+    "renamed fixture CSV": (_renamed_fixture_csv, 3, [], 0.0361, [(_thyroid, 0.80)]),
+    # With one outlier labelled, TSH > comes out the most negative predicate
+    # and T3 > the only other negative one: the gate passes every seed.
+    "TSH and T3 outlier CSV --contamination": (
+        _one_outlier_csv("sample=0:1+6,2+4"), 3, ["--contamination", "0.005"], 0.005,
+        [(_thyroid, 0.80)],
+    ),
+    # T3 > comes out more negative than TSH >, which is below -0.15 in every
+    # seed: the gate passes no seed.
+    "T3 beyond TSH outlier CSV --contamination": (
+        _one_outlier_csv("sample=0:1+5,2+8"), 3, ["--contamination", "0.005"], 0.005,
+        [(_thyroid, 0.80)],
+    ),
+    # FTI > is negative in place of T3 >: the gate passes no seed.
+    "TSH and FTI outlier CSV --contamination": (
+        _one_outlier_csv("sample=0:1+6,3+4"), 3, ["--contamination", "0.005"], 0.005,
+        [(_thyroid, 0.80)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPRO_CASES))
+def test_repro_gates_count_the_seeds_they_pass(tmp_path, capsys, fixture_csv, case):
+    # Each gate's hits are counted again here from fit, build_model_graph and
+    # score_graph, with the fixture's own ground truth for its injected rows.
+    target, n_seeds, extra, fraction, gates = _REPRO_CASES[case]
+    seeds = range(5, 5 + n_seeds)
+    if isinstance(target, str):
+        make = fixture_one if target == "one" else fixture_two
+        datasets = [make(seed=seed)[0] for seed in seeds]
+        argv = ["--fixture", target]
+    else:
+        path = target(tmp_path, capsys, fixture_csv)
+        datasets = [read_csv(path)] * n_seeds
+        argv = ["--dataset", str(path)]
+    hits = [0] * len(gates)
+    for seed, data in zip(seeds, datasets):
+        params = ForestParams(n_trees=40, seed=seed, label_rule=Contamination(fraction))
+        model = fit(data, params)
+        graph = build_model_graph(model, data, model.is_outlier, model.train_visits)
+        iops = {e.predicate: e.iop for e in score_graph(graph).entries}
+        detected = set(np.flatnonzero(model.is_outlier).tolist())
+        injected = None if data.labels is None else set(
+            np.flatnonzero(data.labels == OUTLIER).tolist()
+        )
+        hits = [n + bool(gate(iops, injected, detected)) for n, (gate, _) in zip(hits, gates)]
+
+    code, stdout, err = run(
+        capsys, "repro", *argv, "--seeds", str(n_seeds), "--trees", "40", "--seed", "5",
+        *extra, "--json",
+    )
+    assert code == 0, err
+    checks = json.loads(stdout)["checks"]
+    expected = [(n, t, n >= t * n_seeds) for n, (_, t) in zip(hits, gates)]
+    assert [(c["hits"], c["threshold"], c["pass"]) for c in checks] == expected
+    # No two gates of a case pass the same number of seeds, so two gates'
+    # tests swapped fail the comparison above, as swapped thresholds do.
+    assert len({n for n, _, _ in expected}) == len(expected)
 
 
 def test_repro_requires_exactly_one_target(capsys, tmp_path):
