@@ -370,8 +370,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    data = _read_input(args)
-    model, graph, report = _run_explain(data, _params_from_args(args))
+    # No name here holds the training Dataset, so its matrix is freed
+    # before the bundle write instead of adding to explain's peak memory.
+    model, graph, report = _run_explain(_read_input(args), _params_from_args(args))
     write_explanation_bundle(args.out, model, graph, report, input_path=args.data)
     if args.json:
         print(rank_report(report, format="json"), end="")

@@ -18,7 +18,6 @@ endings and is a pure function of its inputs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import platform
@@ -589,19 +588,11 @@ def _model_json_pieces(model: ForestModel) -> Iterator[str]:
     yield "]}\n"
 
 
-def _write_model_json(path: Path, model: ForestModel) -> str:
-    """Write model.json piece by piece; return the sha256 of the bytes written."""
-    digest = hashlib.sha256()
+def save_model(path: str | Path, model: ForestModel) -> None:
+    """Write model.json piece by piece."""
     with open(path, "wb") as fh:
         for piece in _model_json_pieces(model):
-            data = piece.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
-
-
-def save_model(path: str | Path, model: ForestModel) -> None:
-    _write_model_json(Path(path), model)
+            fh.write(piece.encode("utf-8"))
 
 
 def load_model(path: str | Path) -> ForestModel:
@@ -750,9 +741,12 @@ def export_dot(graph: DpGraph, report: IopReport) -> str:
 
 
 def _sha256_file(path: Path) -> str:
-    """sha256 of a file, read 1 MB at a time into one reused buffer."""
+    """sha256 of a file, read 64 KiB at a time into one reused buffer, so
+    hashing model.json after writing it holds far less than the file."""
+    import hashlib  # see write_explanation_bundle
+
     digest = hashlib.sha256()
-    buffer = memoryview(bytearray(1 << 20))
+    buffer = memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as fh:
         while read := fh.readinto(buffer):
             digest.update(buffer[:read])
@@ -769,10 +763,14 @@ def write_explanation_bundle(
     """Write model.json, graph.json, iop_report.json, graph.dot, iop_table.txt
     and a manifest.json recording versions, seed, params, and content hashes.
 
-    model.json is streamed and hashed as it is written; every other file is
-    encoded once. Returns the manifest. Nothing here depends on wall-clock
+    model.json is streamed to disk and hashed from there; every other file
+    is encoded once. Returns the manifest. Nothing here depends on wall-clock
     time, so a rerun with the same inputs reproduces every file byte for byte.
     """
+    # Imported here, the one path that hashes: hashlib maps OpenSSL's
+    # libcrypto, 3.6 MB of resident memory that `score` has no use for.
+    import hashlib
+
     out_dir = Path(out_dir)
     encoded: dict[str, bytes] = {
         name: text.encode("utf-8")
@@ -791,7 +789,8 @@ def write_explanation_bundle(
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        hashes = {"model.json": _write_model_json(out_dir / "model.json", model)}
+        save_model(out_dir / "model.json", model)
+        hashes = {"model.json": _sha256_file(out_dir / "model.json")}
         for name, data in encoded.items():
             (out_dir / name).write_bytes(data)
             hashes[name] = hashlib.sha256(data).hexdigest()

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,13 @@ from iforest_dpg.forest import (
     label_scores,
     max_tree_depth,
 )
-from iforest_dpg.io import load_model, read_csv, save_model, write_dataset_csv
+from iforest_dpg.io import (
+    load_model,
+    read_csv,
+    save_model,
+    write_dataset_csv,
+    write_explanation_bundle,
+)
 from iforest_dpg.metrics import score_graph
 from iforest_dpg.synth import fixture_one, fixture_two
 
@@ -308,6 +317,37 @@ def test_score_in_blocks_writes_the_same_bytes(tmp_path, capsys, fixture_csv, mo
         outputs.append((out_csv.read_bytes(), run(capsys, *argv, "--json")[1]))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\n") == 201
+
+
+def test_score_loads_no_hashing_or_random_modules(tmp_path, capsys, fixture_csv):
+    # In a fresh interpreter, importing the CLI and scoring loads neither
+    # hashlib (which maps OpenSSL's libcrypto) nor numpy.random beyond what
+    # `import numpy` loads itself: only the bundle writer hashes, and only
+    # growing trees draws random numbers. numpy 1.x imports numpy.random,
+    # and through it hashlib, eagerly; numpy 2.x loads it on first use.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "watched = {'hashlib', 'numpy.random'}\n"
+        "before = watched & set(sys.modules)\n"
+        "import iforest_dpg.cli as cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(watched & set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", script,
+            "score", str(fixture_csv), "--model", str(model_path),
+            "--out", str(tmp_path / "scores.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_score_fault_after_the_first_block(tmp_path, capsys, fixture_csv, monkeypatch):
@@ -614,6 +654,32 @@ def test_explain_json_ranking(tmp_path, capsys, fixture_csv):
     doc = json.loads(stdout)
     iops = [e["iop"] for e in doc["entries"]]
     assert iops == sorted(iops, reverse=True)
+
+
+def test_explain_drops_its_dataset_before_the_bundle(tmp_path, capsys, fixture_csv, monkeypatch):
+    # The training matrix must be freed before the bundle write, or it adds
+    # to explain's peak memory: no name in explain may still hold the Dataset.
+    refs = []
+
+    def read_csv_tracked(*args, **kwargs):
+        data = read_csv(*args, **kwargs)
+        refs.append(weakref.ref(data))
+        return data
+
+    def write_bundle_checked(*args, **kwargs):
+        assert [ref() for ref in refs] == [None]
+        return write_explanation_bundle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_csv", read_csv_tracked)
+    monkeypatch.setattr(cli, "write_explanation_bundle", write_bundle_checked)
+    code, _, err = run(
+        capsys,
+        "explain", str(fixture_csv),
+        "--trees", "20", "--seed", "7", "--contamination", "0.005",
+        "--out", str(tmp_path / "b"),
+    )
+    assert code == 0, err
+    assert (tmp_path / "b" / "manifest.json").is_file()
 
 
 # ---------------------------------------------------------------------------
