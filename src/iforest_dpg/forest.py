@@ -8,10 +8,11 @@ bit-generator words in the order a recursive grower would draw them. A fitted
 forest is one table (`FlatForest`), its only form: every tree laid out as a
 perfect tree as deep as the depth cap, level by level, so a split writes its
 own slot and a step down a level is arithmetic on a slot index. A route ends
-at one of the last level's slots, and a large routing pass shares its row
-blocks with a second thread, which changes no score or count. Transition
-counts follow from how many routes end at each final slot, summed pairwise
-up the levels.
+at one of the last level's slots. A routing pass steps blocks of (tree, row)
+pairs down the levels together, each thread in arrays it reuses from block
+to block, and a large pass shares its blocks with a second thread, which
+changes no score or count. Transition counts follow from how many routes end
+at each final slot, summed pairwise up the levels.
 Anomaly scores follow the classic path-length normalization:
 s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
 length in a binary search tree of n points. New rows are labeled by the
@@ -555,10 +556,12 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
 # rows that end below it, each passing row steps into the node from its
 # parent's, and each row at a leaf steps on to its class terminal.
 
-# (tree, row) pairs routed per block, so each of a block's node, index and
-# value arrays is 128 KB whatever the number of rows. Larger blocks were no
-# faster at 50 000 x 20 and raised the peak memory of 200 x 6 fits.
-_BLOCK_PAIRS = 1 << 14
+# (tree, row) pairs routed per block, so each of a thread's slot, index and
+# value arrays is 256 KB whatever the number of rows. Through 200 trees at
+# 50 000 x 20 on two cores, routing took 0.32 s in blocks of 2**14 pairs,
+# 0.21 s in blocks of 2**15 and 0.18 s in blocks of 2**16, whose larger
+# arrays raised the peak memory of `score` by another 1.9 MB.
+_BLOCK_PAIRS = 1 << 15
 
 
 def _check_width(forest: FlatForest, n_features: int) -> None:
@@ -569,36 +572,77 @@ def _check_width(forest: FlatForest, n_features: int) -> None:
         )
 
 
-def _route(forest: FlatForest, X: np.ndarray) -> np.ndarray:
+class _RouteWork:
+    """The arrays one thread routes a pass's blocks in, allocated once and
+    reused by every block: each pair's level-local slot, the flat index of
+    the value it compares, that value and the comparison, for blocks of up
+    to `pairs` pairs, and the forest's feature table as intp, which the
+    pass's threads share."""
+
+    __slots__ = ("feature", "slot", "index", "value", "right")
+
+    def __init__(self, feature: np.ndarray, pairs: int) -> None:
+        self.feature = feature
+        self.slot = np.empty(pairs, dtype=np.intp)
+        self.index = np.empty(pairs, dtype=np.intp)
+        self.value = np.empty(pairs)
+        self.right = np.empty(pairs, dtype=bool)
+
+
+def _route(forest: FlatForest, X: np.ndarray, work: _RouteWork | None = None) -> np.ndarray:
     """The final slot each row of X ends at in every tree: (n_trees, n_rows)
-    indices into `forest.h` and `forest.size`.
+    indices into `forest.h` and `forest.size`, held in `work`'s slot array
+    until its next block; without `work`, in arrays of their own.
 
     All (tree, row) pairs step down the levels together, one level per step.
-    X is read row-major, so it must be at least `forest.width` columns wide,
-    and its rows are bounded per call: both are `_route_pass`'s job. It only
-    reads the forest and X, so the caller and `_route_pass`'s helper thread
-    run it on their own blocks at the same time.
+    A pair of tree t at position p of level k is at level-local slot
+    q = t * 2**k + p, and a step is q = 2q + right, so after the last level
+    q is the final slot. At the roots each tree compares one column, read
+    without a slot gather. X is read row-major, so it must be at least
+    `forest.width` columns wide, and its rows are bounded per call: both are
+    `_route_pass`'s job. The gathers clip, because numpy buffers `out` in a
+    gather that raises, so they cannot catch a narrow X. It only reads the
+    forest and X, so the caller and `_route_pass`'s helper thread run it on
+    their own blocks, in their own `work`, at the same time.
     """
     n, d = X.shape
     n_trees = forest.n_trees
-    values = np.ascontiguousarray(X).ravel()
-    slot = np.repeat(np.arange(n_trees), n)
-    row_offset = np.tile(np.arange(0, n * d, d), n_trees)
-    feature, threshold = forest.feature, forest.threshold
-    for _ in range(forest.levels):
-        right = values.take(row_offset + feature.take(slot)) > threshold.take(slot)
-        slot *= 2
-        slot += n_trees
-        slot += right
-    slot -= n_trees * ((1 << forest.levels) - 1)
-    return slot.reshape(n_trees, n)
+    pairs = n_trees * n
+    if work is None:
+        work = _RouteWork(forest.feature.astype(np.intp), pairs)
+    slot, index, value, right = (
+        a[:pairs].reshape(n_trees, n) for a in (work.slot, work.index, work.value, work.right)
+    )
+    # The index array is spent once the values are read, so it takes the
+    # thresholds they are compared with.
+    bound = index.view(np.float64)
+    slot[...] = np.arange(n_trees)[:, None]
+    if not forest.levels:
+        return slot
+    X = np.ascontiguousarray(X)
+    np.take(X.T, work.feature[:n_trees], axis=0, out=value, mode="clip")
+    np.greater(value, forest.threshold[:n_trees, None], out=right)
+    slot <<= 1
+    slot |= right
+    values = X.ravel()
+    row_offset = np.arange(0, n * d, d)
+    for k in range(1, forest.levels):
+        at = forest.level(k)
+        np.take(work.feature[at], slot, out=index, mode="clip")
+        index += row_offset
+        np.take(values, index, out=value, mode="clip")
+        np.take(forest.threshold[at], slot, out=bound, mode="clip")
+        np.greater(value, bound, out=right)
+        slot <<= 1
+        slot |= right
+    return slot
 
 
 # Pairs a routing pass must route before a helper thread shares its blocks.
 # The thread's own malloc arena adds about 0.9 MB to peak memory, more than
 # the time saved is worth on a fixture-sized pass (40 000 pairs) or a graph
 # build's outlier rows (10**5 at 50 000 x 20); a pass of 50 000 rows through
-# 200 trees (10**7 pairs) routes about a third faster on two cores. At 2**19,
+# 200 trees (10**7 pairs) took 0.22 s on two cores and 0.32 s on one. At 2**19,
 # each of `score`'s 4096-row blocks still routes on two threads through 128
 # trees or more.
 _THREAD_PAIRS = 1 << 19
@@ -619,22 +663,35 @@ def _route_pass(
     `paths` and adds the number of rows that end at each final slot into
     `visits`; either may be None. In a large pass the caller and a helper
     thread each take the next block not yet taken until none is left, so
-    neither waits long for the other at the end; the helper counts into its
-    own `visits`, added in at the end. Integer sums and per-row sums do not
-    depend on which thread routed a block, so neither does the output. An
-    exception in the helper is raised in the caller.
+    neither waits long for the other at the end; each routes in its own
+    `_RouteWork`, and the helper counts into its own `visits`, added in at
+    the end. Integer sums and per-row sums do not depend on which thread
+    routed a block, so neither does the output. An exception in the helper
+    is raised in the caller.
     """
     _check_width(forest, X.shape[1])
     step = max(1, _BLOCK_PAIRS // forest.n_trees)
     starts = range(0, len(X), step)
+    feature = forest.feature.astype(np.intp)
+    pairs = forest.n_trees * min(step, len(X))
 
     def route(blocks: Iterable[int], counts: np.ndarray | None) -> None:
+        work = _RouteWork(feature, pairs)
         for start in blocks:
-            ends = _route(forest, X[start : start + step])
+            ends = _route(forest, X[start : start + step], work)
             if paths is not None:
-                # A running sum down the trees fixes the order of the
-                # additions; `sum` may add pairwise, e.g. for a one-row block.
-                paths[start : start + step] = np.cumsum(forest.h.take(ends), axis=0)[-1]
+                # The compared values are spent, so their array takes the
+                # path lengths.
+                h = work.value[: ends.size].reshape(ends.shape)
+                np.take(forest.h, ends, out=h, mode="clip")
+                block = paths[start : start + step]
+                if len(block) > 1:
+                    # numpy adds the rows of a C-ordered (T, n) array one
+                    # after another, in tree order.
+                    h.sum(axis=0, out=block)
+                else:
+                    # A one-row sum is 1-D, which numpy adds pairwise.
+                    block[:] = np.cumsum(h)[-1]
             if counts is not None:
                 counts += np.bincount(ends.ravel(), minlength=len(forest.h))
 

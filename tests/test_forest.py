@@ -311,10 +311,10 @@ def _route_on_two_threads(monkeypatch, n_trees):
     threads = set()
     route_block = forest_module._route
 
-    def recording(forest, X):
+    def recording(forest, X, work):
         threads.add(threading.get_ident())
         time.sleep(0)
-        return route_block(forest, X)
+        return route_block(forest, X, work)
 
     monkeypatch.setattr(forest_module, "_route", recording)
     return threads
@@ -356,16 +356,80 @@ def test_helper_thread_error_is_raised_in_the_caller(small_model, monkeypatch):
     route_block = forest_module._route
     caller = threading.get_ident()
 
-    def failing(forest, X):
+    def failing(forest, X, work):
         if threading.get_ident() != caller:
             raise RuntimeError("helper block failed")
-        return route_block(forest, X)
+        return route_block(forest, X, work)
 
     monkeypatch.setattr(forest_module, "_route", failing)
     running = threading.active_count()
     with pytest.raises(RuntimeError, match="helper block failed"):
         score_samples(model, data)
     assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reused_route_arrays_hold_nothing_stale(monkeypatch, threads):
+    # A thread routes every block of a pass in the same arrays. Back-to-back
+    # passes in blocks of 4 rows: full blocks and a short last one, a 1-row
+    # last block, no rows, one row, and a wider matrix. Every block's routes,
+    # and the pass's path sums and visits, must be the recursive walk's.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 3)).round(1)
+    data = Dataset(features=X, feature_names=["F0", "F1", "F2"])
+    model = fit(data, ForestParams(n_trees=6, max_subsample=32, seed=4))
+    forest = model.forest
+    trees = trees_of(model)
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 4 * forest.n_trees)
+    if threads == 2:
+        monkeypatch.setattr(forest_module, "_THREAD_PAIRS", 0)
+        monkeypatch.setattr(forest_module, "_THREADS", 2)
+    route_block = forest_module._route
+    blocks = []
+
+    def recording(forest, X, work):
+        ends = route_block(forest, X, work)
+        blocks.append((X.copy(), ends.copy()))
+        return ends
+
+    monkeypatch.setattr(forest_module, "_route", recording)
+    wide = np.hstack([X, rng.normal(size=(60, 2))])
+    for batch in (X[:15], X[15:24], X[:0], X[59:], wide[7:49]):
+        blocks.clear()
+        paths = np.empty(len(batch))
+        visits = np.zeros(len(forest.h), dtype=np.int64)
+        forest_module._route_pass(forest, batch, paths, visits)
+        assert sorted(len(rows) for rows, _ in blocks) == sorted(
+            len(batch[i : i + 4]) for i in range(0, len(batch), 4)
+        )
+        expected_paths = np.zeros(len(batch))
+        expected_visits = np.zeros_like(visits)
+        for t, tree in enumerate(trees):
+            for i, x in enumerate(batch):
+                expected_visits[_final_slot(t, route(tree, x)[0], forest.levels)] += 1
+                expected_paths[i] += path_length(tree, x, True)
+        for rows, ends in blocks:
+            for t, tree in enumerate(trees):
+                for i, x in enumerate(rows):
+                    assert ends[t, i] == _final_slot(t, route(tree, x)[0], forest.levels)
+        assert np.array_equal(visits, expected_visits)
+        assert np.array_equal(paths, expected_paths)
+
+
+def test_narrow_matrix_is_refused_with_the_column_it_lacks(small_model):
+    # Routing gathers clip their indices, so a matrix narrower than the
+    # columns the model splits on must be refused before any row is routed.
+    data, model = small_model
+    width = model.forest.width
+    assert width > 1
+    narrow = Dataset(
+        features=data.features[:, : width - 1], feature_names=data.feature_names[: width - 1]
+    )
+    message = f"column index {width - 1}, the data has {width - 1} columns"
+    with pytest.raises(ValueError, match=message):
+        score_samples(model, narrow)
+    with pytest.raises(ValueError, match=message):
+        build_model_graph(model, narrow, model.is_outlier)
 
 
 # ---------------------------------------------------------------------------
