@@ -306,14 +306,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 _SCORE_BLOCK = 1 << 12
 
 
-def _scored_rows(scores: np.ndarray, is_outlier: np.ndarray):
-    """Yield (sample, score, label) as Python values, one block converted at a time."""
+def _scored_blocks(scores: np.ndarray, is_outlier: np.ndarray):
+    """Yield each block's (sample, score, label) rows as Python values, one
+    block converted at a time."""
     for start in range(0, len(scores), _SCORE_BLOCK):
         stop = start + _SCORE_BLOCK
-        yield from zip(
+        yield zip(
             range(start, stop),
             scores[start:stop].tolist(),
-            ((INLIER, OUTLIER)[o] for o in is_outlier[start:stop].tolist()),
+            [(INLIER, OUTLIER)[o] for o in is_outlier[start:stop].tolist()],
         )
 
 
@@ -348,13 +349,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
     # The training-score cutoff, not the rule: a row's label must not depend
     # on the batch it is scored in.
-    rows = _scored_rows(scores, label_scores(scores, ScoreThreshold(model.cutoff)))
+    scored = _scored_blocks(scores, label_scores(scores, ScoreThreshold(model.cutoff)))
     if args.out is not None:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             fh.write("sample,score,label\n")
-            fh.writelines(f"{i},{s!r},{l}\n" for i, s, l in rows)
+            # One string and one write a block; %r is the score's repr.
+            fh.writelines("".join(["%d,%r,%s\n" % row for row in block]) for block in scored)
         print(f"wrote {args.out}")
         return 0
+    rows = itertools.chain.from_iterable(scored)
     if args.json:
         print(
             json.dumps(

@@ -9,10 +9,13 @@ forest is one table (`FlatForest`), its only form: every tree laid out as a
 perfect tree as deep as the depth cap, level by level, so a split writes its
 own slot and a step down a level is arithmetic on a slot index. A route ends
 at one of the last level's slots. A routing pass steps blocks of (tree, row)
-pairs down the levels together, each thread in arrays it reuses from block
-to block, and a large pass shares its blocks with a second thread, which
-changes no score or count. Transition counts follow from how many routes end
-at each final slot, summed pairwise up the levels.
+pairs down the levels together, a band of consecutive trees over a run of
+rows at a time, so a block counts its routes' final slots in its band's
+share of the table only. Each thread routes in arrays the pass's caller
+allocates and it reuses from block to block, and a large pass shares its
+runs with a second thread, which changes no score or count. Transition
+counts follow from how many routes end at each final slot, summed pairwise
+up the levels.
 Anomaly scores follow the classic path-length normalization:
 s = 2^(-E[h(x)] / c(n)) where c(n) is the expected unsuccessful-search path
 length in a binary search tree of n points. New rows are labeled by the
@@ -213,10 +216,13 @@ class FlatForest:
         # Columns a routed row must have: leaves read column 0.
         self.width = int(feature.max(initial=0)) + 1
 
-    def level(self, k: int) -> slice:
-        """The slots of level k < `levels` in `feature` and `threshold`."""
+    def level(self, k: int, trees: range | None = None) -> slice:
+        """The slots of level k < `levels` in `feature` and `threshold`; only
+        those of the consecutive trees `trees`, when given."""
         first = self.n_trees * ((1 << k) - 1)
-        return slice(first, first + (self.n_trees << k))
+        if trees is None:
+            trees = range(self.n_trees)
+        return slice(first + (trees.start << k), first + (trees.stop << k))
 
 
 @dataclass
@@ -557,11 +563,23 @@ def fit(data: Dataset, params: ForestParams) -> ForestModel:
 # parent's, and each row at a leaf steps on to its class terminal.
 
 # (tree, row) pairs routed per block, so each of a thread's slot, index and
-# value arrays is 256 KB whatever the number of rows. Through 200 trees at
-# 50 000 x 20 on two cores, routing took 0.32 s in blocks of 2**14 pairs,
-# 0.21 s in blocks of 2**15 and 0.18 s in blocks of 2**16, whose larger
-# arrays raised the peak memory of `score` by another 1.9 MB.
+# value arrays is about 256 KB whatever the shape of the pass. Through 200
+# trees at 50 000 x 20 on two cores, routing took 0.32 s in blocks of 2**14
+# pairs, 0.21 s in blocks of 2**15 and 0.18 s in blocks of 2**16, whose
+# larger arrays raised the peak memory of `score` by another 1.9 MB.
 _BLOCK_PAIRS = 1 << 15
+
+# Rows of a block. A block is a band of consecutive trees over a run of
+# rows: at this many rows a band is up to 32 trees, whose final slots a
+# block counts in at most 32 * 2**8 int64, 64 KB, however many trees the
+# forest has. A pass of fewer rows widens its band, and a forest of fewer
+# trees lengthens its run, so that a block still holds up to `_BLOCK_PAIRS`
+# pairs. Bands are evened out because every block costs the same Python
+# overhead: through 200 trees at 50 000 x 20, bands of 32, 32, ..., 8 trees
+# over runs of 1024 rows made 343 blocks and a two-thread pass 8% slower
+# than forest-wide blocks of 163 rows (307 blocks), where 7 bands of 29
+# trees over runs of 1129 rows make 315.
+_BLOCK_ROWS = 1 << 10
 
 
 def _check_width(forest: FlatForest, n_features: int) -> None:
@@ -575,61 +593,76 @@ def _check_width(forest: FlatForest, n_features: int) -> None:
 class _RouteWork:
     """The arrays one thread routes a pass's blocks in, allocated once and
     reused by every block: each pair's level-local slot, the flat index of
-    the value it compares, that value and the comparison, for blocks of up
-    to `pairs` pairs, and the forest's feature table as intp, which the
-    pass's threads share."""
+    the value it compares, that value and the comparison, for bands of up to
+    `band` trees over runs of up to len(`offset`) rows. The value array has
+    room for one more row, a run's path sums so far. The forest's feature
+    table as intp, and `offset`, the flat offset of each row of a run in X,
+    are the pass's, shared by its threads."""
 
-    __slots__ = ("feature", "slot", "index", "value", "right")
+    __slots__ = ("feature", "offset", "slot", "index", "value", "right")
 
-    def __init__(self, feature: np.ndarray, pairs: int) -> None:
-        self.feature = feature
+    def __init__(self, feature: np.ndarray, offset: np.ndarray, band: int) -> None:
+        self.feature, self.offset = feature, offset
+        pairs = band * len(offset)
         self.slot = np.empty(pairs, dtype=np.intp)
         self.index = np.empty(pairs, dtype=np.intp)
-        self.value = np.empty(pairs)
+        self.value = np.empty(pairs + len(offset))
         self.right = np.empty(pairs, dtype=bool)
 
 
-def _route(forest: FlatForest, X: np.ndarray, work: _RouteWork | None = None) -> np.ndarray:
-    """The final slot each row of X ends at in every tree: (n_trees, n_rows)
-    indices into `forest.h` and `forest.size`, held in `work`'s slot array
-    until its next block; without `work`, in arrays of their own.
+def _route(
+    forest: FlatForest,
+    X: np.ndarray,
+    work: _RouteWork | None = None,
+    trees: range | None = None,
+) -> np.ndarray:
+    """The final slot each row of X ends at in each tree of the band
+    `trees`, all trees when None: (len(trees), n_rows) indices into the
+    band's final slots, which start at `trees.start * 2**levels` of
+    `forest.h` and `forest.size`. They are held in `work`'s slot array until
+    its next block; without `work`, in arrays of their own.
 
     All (tree, row) pairs step down the levels together, one level per step.
-    A pair of tree t at position p of level k is at level-local slot
-    q = t * 2**k + p, and a step is q = 2q + right, so after the last level
-    q is the final slot. At the roots each tree compares one column, read
-    without a slot gather. X is read row-major, so it must be at least
-    `forest.width` columns wide, and its rows are bounded per call: both are
-    `_route_pass`'s job. The gathers clip, because numpy buffers `out` in a
-    gather that raises, so they cannot catch a narrow X. It only reads the
-    forest and X, so the caller and `_route_pass`'s helper thread run it on
-    their own blocks, in their own `work`, at the same time.
+    A pair of the band's i-th tree at position p of level k is at
+    level-local slot q = i * 2**k + p, and a step is q = 2q + right, so
+    after the last level q is the band-local final slot. At the roots each
+    tree compares one column, read at the row offsets plus its feature,
+    with no slot gather and no transposed copy of X. X is read row-major,
+    from a copy when it is not C-ordered, so it must be at least
+    `forest.width` columns wide, and its rows and band must fit `work`:
+    both are `_route_pass`'s job. The gathers clip, because numpy buffers
+    `out` in a gather that raises, so they cannot catch a narrow X. It only
+    reads the forest and X, so the caller and `_route_pass`'s helper thread
+    run it on their own blocks, in their own `work`, at the same time.
     """
     n, d = X.shape
-    n_trees = forest.n_trees
-    pairs = n_trees * n
+    if trees is None:
+        trees = range(forest.n_trees)
+    band = len(trees)
+    pairs = band * n
     if work is None:
-        work = _RouteWork(forest.feature.astype(np.intp), pairs)
+        work = _RouteWork(forest.feature.astype(np.intp), np.arange(0, n * d, d), band)
     slot, index, value, right = (
-        a[:pairs].reshape(n_trees, n) for a in (work.slot, work.index, work.value, work.right)
+        a[:pairs].reshape(band, n) for a in (work.slot, work.index, work.value, work.right)
     )
     # The index array is spent once the values are read, so it takes the
     # thresholds they are compared with.
     bound = index.view(np.float64)
-    slot[...] = np.arange(n_trees)[:, None]
+    slot[...] = np.arange(band)[:, None]
     if not forest.levels:
         return slot
-    X = np.ascontiguousarray(X)
-    np.take(X.T, work.feature[:n_trees], axis=0, out=value, mode="clip")
-    np.greater(value, forest.threshold[:n_trees, None], out=right)
+    roots = slice(trees.start, trees.stop)
+    values = X.ravel()
+    offset = work.offset[:n]
+    np.add(work.feature[roots, None], offset, out=index)
+    np.take(values, index, out=value, mode="clip")
+    np.greater(value, forest.threshold[roots, None], out=right)
     slot <<= 1
     slot |= right
-    values = X.ravel()
-    row_offset = np.arange(0, n * d, d)
     for k in range(1, forest.levels):
-        at = forest.level(k)
+        at = forest.level(k, trees)
         np.take(work.feature[at], slot, out=index, mode="clip")
-        index += row_offset
+        index += offset
         np.take(values, index, out=value, mode="clip")
         np.take(forest.threshold[at], slot, out=bound, mode="clip")
         np.greater(value, bound, out=right)
@@ -638,9 +671,9 @@ def _route(forest: FlatForest, X: np.ndarray, work: _RouteWork | None = None) ->
     return slot
 
 
-# Pairs a routing pass must route before a helper thread shares its blocks.
-# The thread's own malloc arena adds about 0.9 MB to peak memory, more than
-# the time saved is worth on a fixture-sized pass (40 000 pairs) or a graph
+# Pairs a routing pass must route before a helper thread shares its runs.
+# The helper's work arrays add about 0.8 MB to peak memory, more than the
+# time saved is worth on a fixture-sized pass (40 000 pairs) or a graph
 # build's outlier rows (10**5 at 50 000 x 20); a pass of 50 000 rows through
 # 200 trees (10**7 pairs) took 0.22 s on two cores and 0.32 s on one. At 2**19,
 # each of `score`'s 4096-row blocks still routes on two threads through 128
@@ -657,53 +690,78 @@ def _route_pass(
     paths: np.ndarray | None,
     visits: np.ndarray | None,
 ) -> None:
-    """Route every (tree, row) pair of X, `_BLOCK_PAIRS` pairs per block.
+    """Route every (tree, row) pair of X, a block at a time: a band of
+    consecutive trees over a run of rows, as `_BLOCK_ROWS` sizes them.
 
     Writes each row's path lengths, summed tree by tree in tree order, into
     `paths` and adds the number of rows that end at each final slot into
-    `visits`; either may be None. In a large pass the caller and a helper
-    thread each take the next block not yet taken until none is left, so
-    neither waits long for the other at the end; each routes in its own
-    `_RouteWork`, and the helper counts into its own `visits`, added in at
-    the end. Integer sums and per-row sums do not depend on which thread
-    routed a block, so neither does the output. An exception in the helper
-    is raised in the caller.
+    `visits`; either may be None. A thread takes a run of rows and routes
+    it band after band, in tree order: each band's path lengths are added
+    to the run's sums so far, and the bincount of its band-local final
+    slots to that band's slice of `visits`, under a lock. In a large pass
+    the caller and a helper thread each take the next run not yet taken
+    until none is left, so neither waits long for the other at the end.
+    The caller allocates each thread's `_RouteWork` before the helper
+    starts, so a later pass reuses what this one frees and nothing larger
+    than a band's count is left in the helper thread's malloc arena.
+    Integer sums and per-row sums do not depend on which thread routed a
+    run, so neither does the output. An exception in the helper is raised
+    in the caller.
     """
     _check_width(forest, X.shape[1])
-    step = max(1, _BLOCK_PAIRS // forest.n_trees)
-    starts = range(0, len(X), step)
+    n, d = X.shape
+    n_trees, levels = forest.n_trees, forest.levels
+    rows = max(1, min(n, max(_BLOCK_ROWS, _BLOCK_PAIRS // n_trees)))
+    # The fewest bands that blocks of that many rows allow, evened out, and
+    # runs as long as their width allows.
+    band = -(-n_trees // -(-n_trees // max(1, _BLOCK_PAIRS // rows)))
+    rows = max(1, min(n, _BLOCK_PAIRS // band))
+    bands = [range(t, min(t + band, n_trees)) for t in range(0, n_trees, band)]
+    runs = range(0, n, rows)
+    threads = 2 if _THREADS > 1 and len(runs) > 1 and n_trees * n >= _THREAD_PAIRS else 1
     feature = forest.feature.astype(np.intp)
-    pairs = forest.n_trees * min(step, len(X))
+    offset = np.arange(0, rows * d, d)
+    works = [_RouteWork(feature, offset, band) for _ in range(threads)]
+    # Both threads count into `visits`, one band's count at a time.
+    tally = threading.Lock()
 
-    def route(blocks: Iterable[int], counts: np.ndarray | None) -> None:
-        work = _RouteWork(feature, pairs)
-        for start in blocks:
-            ends = _route(forest, X[start : start + step], work)
-            if paths is not None:
-                # The compared values are spent, so their array takes the
-                # path lengths.
-                h = work.value[: ends.size].reshape(ends.shape)
-                np.take(forest.h, ends, out=h, mode="clip")
-                block = paths[start : start + step]
-                if len(block) > 1:
-                    # numpy adds the rows of a C-ordered (T, n) array one
-                    # after another, in tree order.
-                    h.sum(axis=0, out=block)
-                else:
-                    # A one-row sum is 1-D, which numpy adds pairwise.
-                    block[:] = np.cumsum(h)[-1]
-            if counts is not None:
-                counts += np.bincount(ends.ravel(), minlength=len(forest.h))
+    def route(starts: Iterable[int], work: _RouteWork) -> None:
+        for start in starts:
+            # A view, unless X is not C-ordered: then the thread that takes
+            # the run copies it.
+            run = np.ascontiguousarray(X[start : start + rows])
+            m = len(run)
+            total = None if paths is None else paths[start : start + rows]
+            for trees in bands:
+                ends = _route(forest, run, work, trees)
+                finals = slice(trees.start << levels, trees.stop << levels)
+                if total is not None:
+                    # The compared values are spent, so their array takes
+                    # the sums so far on top of the band's path lengths.
+                    h = work.value[: (len(trees) + 1) * m].reshape(-1, m)
+                    h[0] = total if trees.start else 0.0
+                    np.take(forest.h[finals], ends, out=h[1:], mode="clip")
+                    if m > 1:
+                        # numpy adds the rows of a C-ordered (band + 1, m)
+                        # array one after another, in tree order.
+                        h.sum(axis=0, out=total)
+                    else:
+                        # A one-row sum is 1-D, which numpy adds pairwise.
+                        total[:] = np.cumsum(h)[-1]
+                if visits is not None:
+                    count = np.bincount(ends.ravel(), minlength=len(trees) << levels)
+                    with tally:
+                        visits[finals] += count
 
-    if _THREADS < 2 or len(starts) < 2 or forest.n_trees * len(X) < _THREAD_PAIRS:
-        route(starts, visits)
+    if threads < 2:
+        route(runs, works[0])
         return
-    pending = iter(starts)
+    pending = iter(runs)
     claim = threading.Lock()
 
     def unclaimed() -> Iterator[int]:
-        """The starts of the blocks neither thread has taken, one at a time;
-        the lock keeps a block from going to both."""
+        """The starts of the runs neither thread has taken, one at a time;
+        the lock keeps a run from going to both."""
         while True:
             with claim:
                 start = next(pending, None)
@@ -711,25 +769,22 @@ def _route_pass(
                 return
             yield start
 
-    helper_visits = None if visits is None else np.zeros_like(visits)
     failed: list[BaseException] = []
 
     def helper() -> None:
         try:
-            route(unclaimed(), helper_visits)
+            route(unclaimed(), works[1])
         except BaseException as exc:  # re-raised in the caller below
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="iforest-dpg-route")
     thread.start()
     try:
-        route(unclaimed(), visits)
+        route(unclaimed(), works[0])
     finally:
         thread.join()
     if failed:
         raise failed[0]
-    if visits is not None:
-        visits += helper_visits
 
 
 def _leaf_visits(forest: FlatForest, X: np.ndarray) -> np.ndarray:

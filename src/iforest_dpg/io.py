@@ -597,9 +597,15 @@ def save_model(path: str | Path, model: ForestModel) -> None:
 
 def load_model(path: str | Path) -> ForestModel:
     try:
-        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed model file: {path}: not UTF-8: {exc}") from None
+    try:
+        return model_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed model file: {path}: not JSON: {exc}") from None
     except RecursionError:
-        raise ValueError("malformed model file: nested too deeply") from None
+        raise ValueError(f"malformed model file: {path}: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,22 @@ def test_score_rejects_deeply_nested_model(tmp_path, capsys, fixture_csv):
     assert "malformed model file" in err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"schema_version": 4', "not JSON: Expecting ',' delimiter"),
+        (b"", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+)
+def test_score_names_a_model_file_that_is_not_json(tmp_path, capsys, fixture_csv, content, reason):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    code, _, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert code == 1
+    assert err.startswith(f"error: malformed model file: {model_path}: {reason}")
+
+
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
     """(data CSV, model.json document) of a small contamination model."""

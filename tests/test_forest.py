@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,10 +281,17 @@ def test_transition_counts_match_stepwise_routes(seed):
     )
 
 
+def _small_blocks(monkeypatch, rows, band):
+    """Route every pass in blocks of `band` trees over runs of `rows` rows."""
+    monkeypatch.setattr(forest_module, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", rows * band)
+
+
 def test_path_sums_follow_tree_order(small_model, monkeypatch):
-    # Scores add each tree's path length in tree order, block by block; a
-    # plain per-tree loop must give the same bits. Blocks of 3 rows leave a
-    # last block of 1 of the 40 rows.
+    # Scores add each tree's path length in tree order, band by band; a
+    # plain per-tree loop must give the same bits. Bands of 4 of the 25
+    # trees over runs of 3 rows leave a last band of 1 tree and a last run
+    # of 1 of the 40 rows; a 1-row pass routes bands of 9, 9 and 7.
     data, model = small_model
     forest = model.forest
     leaves = _route(forest, data.features)
@@ -292,43 +300,43 @@ def test_path_sums_follow_tree_order(small_model, monkeypatch):
         total += forest.h[leaves[t]]
     expected = anomaly_score(total / forest.n_trees, model.subsample_size)
     assert np.array_equal(model.scores, expected)
-    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 3 * forest.n_trees)
+    _small_blocks(monkeypatch, rows=3, band=4)
     assert np.array_equal(score_samples(model, data), expected)
     for i in range(data.n_samples):
         assert score_samples(model, data.features[i : i + 1])[0] == expected[i]
 
 
-def _route_on_two_threads(monkeypatch, n_trees):
-    """Make every routing pass use the helper thread, in blocks of 3 rows;
-    return the set of thread idents that `_route` ran on.
+def _route_on_two_threads(monkeypatch):
+    """Make every routing pass use the helper thread, in blocks of 4 trees
+    over 3 rows; return the set of thread idents that `_route` ran on.
 
     Each block gives up the interpreter lock once, as the numpy steps of a
-    full-size block do, so both threads keep taking blocks.
+    full-size block do, so both threads keep taking runs.
     """
     monkeypatch.setattr(forest_module, "_THREAD_PAIRS", 0)
     monkeypatch.setattr(forest_module, "_THREADS", 2)
-    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 3 * n_trees)
+    _small_blocks(monkeypatch, rows=3, band=4)
     threads = set()
     route_block = forest_module._route
 
-    def recording(forest, X, work):
+    def recording(forest, X, work, trees):
         threads.add(threading.get_ident())
         time.sleep(0)
-        return route_block(forest, X, work)
+        return route_block(forest, X, work, trees)
 
     monkeypatch.setattr(forest_module, "_route", recording)
     return threads
 
 
 def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
-    # Sharing a pass's blocks between the caller and a helper thread must
+    # Sharing a pass's runs between the caller and a helper thread must
     # not change one bit of the scores, the leaf visits or the counts, nor
     # route a block twice or not at all.
     params = ForestParams(n_trees=25, seed=11, label_rule=Contamination(0.05))
     serial = fit(small_data, params)
     serial_visits = forest_module._leaf_visits(serial.forest, small_data.features)
     serial_graph = build_model_graph(serial, small_data, serial.is_outlier)
-    threads = _route_on_two_threads(monkeypatch, params.n_trees)
+    threads = _route_on_two_threads(monkeypatch)
     # Switch threads as often as the interpreter allows, to interleave the
     # caller's and the helper's blocks.
     interval = sys.getswitchinterval()
@@ -350,16 +358,75 @@ def test_two_thread_pass_matches_serial_pass(small_data, monkeypatch):
     assert np.array_equal(graph.c_out, serial_graph.c_out)
 
 
+def test_two_thread_pass_allocates_its_arrays_in_the_caller(small_model, monkeypatch):
+    # Both threads' routing arrays come from the caller, so none stays in
+    # the helper thread's malloc arena after the pass.
+    data, model = small_model
+    threads = _route_on_two_threads(monkeypatch)
+    makers = []
+
+    class Recorded(forest_module._RouteWork):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            makers.append(threading.get_ident())
+            super().__init__(*args)
+
+    monkeypatch.setattr(forest_module, "_RouteWork", Recorded)
+    score_samples(model, data)
+    assert len(threads) == 2
+    assert makers == [threading.get_ident()] * 2
+
+
+def test_two_thread_pass_counts_a_band_at_a_time(monkeypatch):
+    # A two-thread pass with visits, through 600 trees, traced: its peak is
+    # the intp feature table, two threads' work arrays and each thread's
+    # count of one band, not a count of the whole forest.
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(3000, 3))
+    data = Dataset(features=X, feature_names=["F0", "F1", "F2"])
+    forest = fit(data, ForestParams(n_trees=600, seed=2)).forest
+    monkeypatch.setattr(forest_module, "_THREADS", 2)
+    threads = set()
+    route_block = forest_module._route
+
+    def recording(forest, X, work, trees):
+        threads.add(threading.get_ident())
+        return route_block(forest, X, work, trees)
+
+    monkeypatch.setattr(forest_module, "_route", recording)
+    paths = np.empty(len(X))
+    visits = np.zeros(len(forest.h), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        forest_module._route_pass(forest, X, paths, visits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(threads) == 2
+    rows = forest_module._BLOCK_ROWS
+    band = forest_module._BLOCK_PAIRS // rows
+    intp = np.dtype(np.intp).itemsize
+    table = forest.feature.size * intp
+    # Slot, index, value and comparison per pair, and a row of sums.
+    work = band * rows * (2 * intp + 8 + 1) + rows * 8
+    band_counts = (band << forest.levels) * 8
+    # A quarter megabyte for Python objects and small arrays.
+    bound = table + 2 * work + 2 * band_counts + (256 << 10)
+    assert peak < bound, (peak, bound)
+    assert np.array_equal(visits, forest_module._leaf_visits(forest, X))
+
+
 def test_helper_thread_error_is_raised_in_the_caller(small_model, monkeypatch):
     data, model = small_model
-    _route_on_two_threads(monkeypatch, model.forest.n_trees)
+    _route_on_two_threads(monkeypatch)
     route_block = forest_module._route
     caller = threading.get_ident()
 
-    def failing(forest, X, work):
+    def failing(forest, X, work, trees):
         if threading.get_ident() != caller:
             raise RuntimeError("helper block failed")
-        return route_block(forest, X, work)
+        return route_block(forest, X, work, trees)
 
     monkeypatch.setattr(forest_module, "_route", failing)
     running = threading.active_count()
@@ -371,49 +438,57 @@ def test_helper_thread_error_is_raised_in_the_caller(small_model, monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_reused_route_arrays_hold_nothing_stale(monkeypatch, threads):
     # A thread routes every block of a pass in the same arrays. Back-to-back
-    # passes in blocks of 4 rows: full blocks and a short last one, a 1-row
-    # last block, no rows, one row, and a wider matrix. Every block's routes,
-    # and the pass's path sums and visits, must be the recursive walk's.
+    # passes in bands of 4 of 7 trees, the last band of 3, over runs of 4
+    # rows (full runs and a short last one, a 1-row last run) and then of 1
+    # row; no rows, one row, and a wider matrix. Every block's routes, and
+    # the pass's path sums and visits, must be the recursive walk's.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 3)).round(1)
     data = Dataset(features=X, feature_names=["F0", "F1", "F2"])
-    model = fit(data, ForestParams(n_trees=6, max_subsample=32, seed=4))
+    model = fit(data, ForestParams(n_trees=7, max_subsample=32, seed=4))
     forest = model.forest
     trees = trees_of(model)
-    monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", 4 * forest.n_trees)
     if threads == 2:
         monkeypatch.setattr(forest_module, "_THREAD_PAIRS", 0)
         monkeypatch.setattr(forest_module, "_THREADS", 2)
     route_block = forest_module._route
     blocks = []
 
-    def recording(forest, X, work):
-        ends = route_block(forest, X, work)
-        blocks.append((X.copy(), ends.copy()))
+    def recording(forest, X, work, band):
+        ends = route_block(forest, X, work, band)
+        blocks.append((X.copy(), ends.copy(), band))
         return ends
 
     monkeypatch.setattr(forest_module, "_route", recording)
     wide = np.hstack([X, rng.normal(size=(60, 2))])
-    for batch in (X[:15], X[15:24], X[:0], X[59:], wide[7:49]):
-        blocks.clear()
-        paths = np.empty(len(batch))
-        visits = np.zeros(len(forest.h), dtype=np.int64)
-        forest_module._route_pass(forest, batch, paths, visits)
-        assert sorted(len(rows) for rows, _ in blocks) == sorted(
-            len(batch[i : i + 4]) for i in range(0, len(batch), 4)
-        )
-        expected_paths = np.zeros(len(batch))
-        expected_visits = np.zeros_like(visits)
-        for t, tree in enumerate(trees):
-            for i, x in enumerate(batch):
-                expected_visits[_final_slot(t, route(tree, x)[0], forest.levels)] += 1
-                expected_paths[i] += path_length(tree, x, True)
-        for rows, ends in blocks:
+    for rows in (4, 1):
+        _small_blocks(monkeypatch, rows=rows, band=4)
+        for batch in (X[:15], X[15:24], X[:0], X[59:], wide[7:49]):
+            blocks.clear()
+            paths = np.empty(len(batch))
+            visits = np.zeros(len(forest.h), dtype=np.int64)
+            forest_module._route_pass(forest, batch, paths, visits)
+            # A pass of fewer rows than a run widens its band to every tree.
+            bands = ((0, 7),) if len(batch) < rows else ((0, 4), (4, 7))
+            assert sorted((len(x), b.start, b.stop) for x, _, b in blocks) == sorted(
+                (len(batch[i : i + rows]), *band)
+                for i in range(0, len(batch), rows)
+                for band in bands
+            )
+            expected_paths = np.zeros(len(batch))
+            expected_visits = np.zeros_like(visits)
             for t, tree in enumerate(trees):
-                for i, x in enumerate(rows):
-                    assert ends[t, i] == _final_slot(t, route(tree, x)[0], forest.levels)
-        assert np.array_equal(visits, expected_visits)
-        assert np.array_equal(paths, expected_paths)
+                for i, x in enumerate(batch):
+                    expected_visits[_final_slot(t, route(tree, x)[0], forest.levels)] += 1
+                    expected_paths[i] += path_length(tree, x, True)
+            for x_block, ends, band in blocks:
+                first = band.start << forest.levels
+                for t in band:
+                    for i, x in enumerate(x_block):
+                        slot = _final_slot(t, route(trees[t], x)[0], forest.levels)
+                        assert ends[t - band.start, i] == slot - first
+            assert np.array_equal(visits, expected_visits)
+            assert np.array_equal(paths, expected_paths)
 
 
 def test_narrow_matrix_is_refused_with_the_column_it_lacks(small_model):
