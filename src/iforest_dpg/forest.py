@@ -13,7 +13,8 @@ pairs down the levels together, a band of consecutive trees over a run of
 rows at a time, so a block counts its routes' final slots in its band's
 share of the table only. Each thread routes in arrays the pass's caller
 allocates and it reuses from block to block, and a large pass shares its
-runs with a second thread, which changes no score or count. Transition
+runs with a second thread. Path lengths sit on a grid on which any sum of
+one per tree is exact, so no score depends on how a pass is split. Transition
 counts follow from how many routes end at each final slot, summed pairwise
 up the levels.
 Anomaly scores follow the classic path-length normalization:
@@ -186,7 +187,10 @@ class FlatForest:
     the last level's first, hold `size` (int32), the subsample rows of the
     leaf whose left-going route ends there, 0 where no route ends, and `h`,
     the path length a route that ends there adds to a score: the leaf's
-    depth, plus c(size) when `leaf_adjustment`.
+    depth, plus c(size) when `leaf_adjustment`, rounded (ties to even) to
+    the grid g = 2**(ceil(log2(T * max h)) - 52), at most 2**-40 at 200
+    trees since max h < 20.48, unless every `h` is 0. A sum of at most one
+    `h` per tree is then exact in float64, in any order.
 
     A slot is a node iff it is a root or its parent's threshold is finite; a
     node is a leaf iff its threshold is +inf or it is a final slot.
@@ -213,6 +217,15 @@ class FlatForest:
         self.h = depth
         if leaf_adjustment:
             self.h += _leaf_adjustment_table(int(size.max(initial=0)))[size]
+        top = n_trees * float(self.h.max(initial=0.0))
+        if top:
+            # 2**52 g is the least power of two >= top, so T values of at
+            # most max h + g/2 sum to at most 2**52 g + T g/2 < 2**53 g.
+            mantissa, exponent = math.frexp(top)
+            grid = math.ldexp(1.0, exponent - (mantissa == 0.5) - 52)
+            self.h /= grid
+            np.rint(self.h, out=self.h)
+            self.h *= grid
         # Columns a routed row must have: leaves read column 0.
         self.width = int(feature.max(initial=0)) + 1
 
@@ -594,10 +607,9 @@ class _RouteWork:
     """The arrays one thread routes a pass's blocks in, allocated once and
     reused by every block: each pair's level-local slot, the flat index of
     the value it compares, that value and the comparison, for bands of up to
-    `band` trees over runs of up to len(`offset`) rows. The value array has
-    room for one more row, a run's path sums so far. The forest's feature
-    table as intp, and `offset`, the flat offset of each row of a run in X,
-    are the pass's, shared by its threads."""
+    `band` trees over runs of up to len(`offset`) rows. The forest's
+    feature table as intp, and `offset`, the flat offset of each row of a
+    run in X, are the pass's, shared by its threads."""
 
     __slots__ = ("feature", "offset", "slot", "index", "value", "right")
 
@@ -606,7 +618,7 @@ class _RouteWork:
         pairs = band * len(offset)
         self.slot = np.empty(pairs, dtype=np.intp)
         self.index = np.empty(pairs, dtype=np.intp)
-        self.value = np.empty(pairs + len(offset))
+        self.value = np.empty(pairs)
         self.right = np.empty(pairs, dtype=bool)
 
 
@@ -693,19 +705,18 @@ def _route_pass(
     """Route every (tree, row) pair of X, a block at a time: a band of
     consecutive trees over a run of rows, as `_BLOCK_ROWS` sizes them.
 
-    Writes each row's path lengths, summed tree by tree in tree order, into
-    `paths` and adds the number of rows that end at each final slot into
-    `visits`; either may be None. A thread takes a run of rows and routes
-    it band after band, in tree order: each band's path lengths are added
-    to the run's sums so far, and the bincount of its band-local final
-    slots to that band's slice of `visits`, under a lock. In a large pass
-    the caller and a helper thread each take the next run not yet taken
-    until none is left, so neither waits long for the other at the end.
-    The caller allocates each thread's `_RouteWork` before the helper
-    starts, so a later pass reuses what this one frees and nothing larger
-    than a band's count is left in the helper thread's malloc arena.
-    Integer sums and per-row sums do not depend on which thread routed a
-    run, so neither does the output. An exception in the helper is raised
+    Adds the sum of each row's path lengths into `paths` and the number of
+    rows that end at each final slot into `visits`; either may be None. A
+    thread takes a run of rows and routes it band after band: each band's
+    path lengths are added to the run's sums, and the bincount of its
+    band-local final slots to that band's slice of `visits`, under a lock.
+    In a large pass the caller and a helper thread each take the next run
+    not yet taken until none is left, so neither waits long for the other
+    at the end. The caller allocates each thread's `_RouteWork` before the
+    helper starts, so a later pass reuses what this one frees and nothing
+    larger than a band's count is left in the helper thread's malloc arena.
+    Counts are integers and path sums exact (see `FlatForest`), so neither
+    depends on the blocks or threads. An exception in the helper is raised
     in the caller.
     """
     _check_width(forest, X.shape[1])
@@ -730,28 +741,20 @@ def _route_pass(
             # A view, unless X is not C-ordered: then the thread that takes
             # the run copies it.
             run = np.ascontiguousarray(X[start : start + rows])
-            m = len(run)
-            total = None if paths is None else paths[start : start + rows]
             for trees in bands:
                 ends = _route(forest, run, work, trees)
                 finals = slice(trees.start << levels, trees.stop << levels)
-                if total is not None:
+                if paths is not None:
                     # The compared values are spent, so their array takes
-                    # the sums so far on top of the band's path lengths.
-                    h = work.value[: (len(trees) + 1) * m].reshape(-1, m)
-                    h[0] = total if trees.start else 0.0
-                    np.take(forest.h[finals], ends, out=h[1:], mode="clip")
-                    if m > 1:
-                        # numpy adds the rows of a C-ordered (band + 1, m)
-                        # array one after another, in tree order.
-                        h.sum(axis=0, out=total)
-                    else:
-                        # A one-row sum is 1-D, which numpy adds pairwise.
-                        total[:] = np.cumsum(h)[-1]
+                    # the band's path lengths.
+                    h = work.value[: ends.size].reshape(ends.shape)
+                    np.take(forest.h[finals], ends, out=h, mode="clip")
+                    paths[start : start + rows] += h.sum(axis=0)
                 if visits is not None:
                     count = np.bincount(ends.ravel(), minlength=len(trees) << levels)
                     with tally:
                         visits[finals] += count
+                    del count  # before the next band's: one count a thread
 
     if threads < 2:
         route(runs, works[0])
@@ -833,12 +836,8 @@ def _transition_counts(
 def _mean_paths(
     forest: FlatForest, X: np.ndarray, visits: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean path length of every row of X; adds each row's final slots into `visits`.
-
-    A row's path lengths are summed tree by tree in tree order, so scores do
-    not depend on the block size or on which thread routed the row.
-    """
-    total = np.empty(len(X))
+    """Mean path length of every row of X; adds each row's final slots into `visits`."""
+    total = np.zeros(len(X))
     _route_pass(forest, X, total, visits)
     return total / forest.n_trees
 
@@ -857,14 +856,14 @@ def score_samples(model: ForestModel, data: Dataset | np.ndarray) -> np.ndarray:
     """Anomaly scores for arbitrary samples under a fitted model.
 
     Any number of rows is scored; a matrix narrower than the model's highest
-    split feature is a ValueError.
+    split feature, or with a value that is not finite, is a ValueError.
     """
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-dimensional sample matrix")
-    return anomaly_score(
-        _mean_paths(model.forest, X), model.subsample_size
-    )
+    if not isinstance(data, Dataset) and not np.isfinite(X).all():
+        raise ValueError("features contain non-finite values")
+    return anomaly_score(_mean_paths(model.forest, X), model.subsample_size)
 
 
 def _outlier_count(fraction: float, n: int) -> int:

@@ -32,7 +32,16 @@ from iforest_dpg.forest import (
 )
 from iforest_dpg.io import model_from_dict, model_to_dict
 from iforest_dpg.synth import InjectionSpec, SynthConfig, fixture_one, generate
-from tree_reference import Tree, flat, grow_forest, path_length, route, trees_of, walk
+from tree_reference import (
+    Tree,
+    flat,
+    grow_forest,
+    leaf_lengths,
+    path_lengths,
+    route,
+    trees_of,
+    walk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +197,13 @@ def test_route_matches_object_walk_on_edge_cases():
             forest = flat(forest_trees, adjust)
             ends = _route(forest, X)
             assert ends.shape == (len(forest_trees), len(X))
+            lengths = path_lengths(forest_trees, X, adjust)
             for t, tree in enumerate(forest_trees):
                 for i, x in enumerate(X):
                     steps, leaf_node = route(tree, x)
                     assert ends[t, i] == _final_slot(t, steps, forest.levels)
                     assert forest.size[ends[t, i]] == tree.size[leaf_node]
-                    assert forest.h[ends[t, i]] == path_length(tree, x, adjust)
+                    assert forest.h[ends[t, i]] == lengths[i][t]
         empty = np.empty((0, 2))
         assert _route(forest, empty).shape == (len(forest_trees), 0)
         assert forest_module._mean_paths(forest, empty).shape == (0,)
@@ -287,23 +297,41 @@ def _small_blocks(monkeypatch, rows, band):
     monkeypatch.setattr(forest_module, "_BLOCK_PAIRS", rows * band)
 
 
-def test_path_sums_follow_tree_order(small_model, monkeypatch):
-    # Scores add each tree's path length in tree order, band by band; a
-    # plain per-tree loop must give the same bits. Bands of 4 of the 25
-    # trees over runs of 3 rows leave a last band of 1 tree and a last run
-    # of 1 of the 40 rows; a 1-row pass routes bands of 9, 9 and 7.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_path_sums_are_exact_in_any_tree_order(small_model, monkeypatch, threads):
+    # Path lengths sit on a grid on which every sum of one per tree is
+    # exact, so the kernel's sums equal the same lengths added in reverse
+    # tree order, in three shuffled orders and by math.fsum, bit for bit.
+    # Passes in bands of 4 of the 25 trees over runs of 3 rows (a last band
+    # of 1 tree, a last run of 1 of the 40 rows), on one thread or two, and
+    # 1-row passes, which route bands of 9, 9 and 7.
     data, model = small_model
     forest = model.forest
-    leaves = _route(forest, data.features)
-    total = np.zeros(data.n_samples)
-    for t in range(forest.n_trees):
-        total += forest.h[leaves[t]]
-    expected = anomaly_score(total / forest.n_trees, model.subsample_size)
-    assert np.array_equal(model.scores, expected)
-    _small_blocks(monkeypatch, rows=3, band=4)
-    assert np.array_equal(score_samples(model, data), expected)
+    lengths = forest.h[_route(forest, data.features)]
+    orders = [np.arange(forest.n_trees)[::-1]]
+    orders += [np.random.default_rng(seed).permutation(forest.n_trees) for seed in range(3)]
+    expected = np.array([math.fsum(row) for row in lengths.T])
+    for order in orders:
+        total = np.zeros(data.n_samples)
+        for t in order:
+            total += lengths[t]
+        assert np.array_equal(total, expected)
+    assert np.array_equal(
+        model.scores, anomaly_score(expected / forest.n_trees, model.subsample_size)
+    )
+    if threads == 2:
+        routed_on = _route_on_two_threads(monkeypatch)
+    else:
+        _small_blocks(monkeypatch, rows=3, band=4)
+    paths = np.zeros(data.n_samples)
+    forest_module._route_pass(forest, data.features, paths, None)
+    assert np.array_equal(paths, expected)
+    if threads == 2:
+        assert len(routed_on) == 2
+    paths = np.zeros(data.n_samples)
     for i in range(data.n_samples):
-        assert score_samples(model, data.features[i : i + 1])[0] == expected[i]
+        forest_module._route_pass(forest, data.features[i : i + 1], paths[i : i + 1], None)
+    assert np.array_equal(paths, expected)
 
 
 def _route_on_two_threads(monkeypatch):
@@ -395,7 +423,7 @@ def test_two_thread_pass_counts_a_band_at_a_time(monkeypatch):
         return route_block(forest, X, work, trees)
 
     monkeypatch.setattr(forest_module, "_route", recording)
-    paths = np.empty(len(X))
+    paths = np.zeros(len(X))
     visits = np.zeros(len(forest.h), dtype=np.int64)
     tracemalloc.start()
     try:
@@ -408,7 +436,7 @@ def test_two_thread_pass_counts_a_band_at_a_time(monkeypatch):
     band = forest_module._BLOCK_PAIRS // rows
     intp = np.dtype(np.intp).itemsize
     table = forest.feature.size * intp
-    # Slot, index, value and comparison per pair, and a row of sums.
+    # Slot, index, value and comparison per pair, and a row of band sums.
     work = band * rows * (2 * intp + 8 + 1) + rows * 8
     band_counts = (band << forest.levels) * 8
     # A quarter megabyte for Python objects and small arrays.
@@ -465,7 +493,7 @@ def test_reused_route_arrays_hold_nothing_stale(monkeypatch, threads):
         _small_blocks(monkeypatch, rows=rows, band=4)
         for batch in (X[:15], X[15:24], X[:0], X[59:], wide[7:49]):
             blocks.clear()
-            paths = np.empty(len(batch))
+            paths = np.zeros(len(batch))
             visits = np.zeros(len(forest.h), dtype=np.int64)
             forest_module._route_pass(forest, batch, paths, visits)
             # A pass of fewer rows than a run widens its band to every tree.
@@ -475,12 +503,11 @@ def test_reused_route_arrays_hold_nothing_stale(monkeypatch, threads):
                 for i in range(0, len(batch), rows)
                 for band in bands
             )
-            expected_paths = np.zeros(len(batch))
+            expected_paths = np.array([math.fsum(row) for row in path_lengths(trees, batch, True)])
             expected_visits = np.zeros_like(visits)
             for t, tree in enumerate(trees):
-                for i, x in enumerate(batch):
+                for x in batch:
                     expected_visits[_final_slot(t, route(tree, x)[0], forest.levels)] += 1
-                    expected_paths[i] += path_length(tree, x, True)
             for x_block, ends, band in blocks:
                 first = band.start << forest.levels
                 for t in band:
@@ -618,6 +645,7 @@ def test_slot_table_follows_the_walk():
     n_trees, levels = len(trees), 3
     assert (forest.n_trees, forest.levels) == (n_trees, levels)
     splits, sizes = set(), set()
+    lengths = leaf_lengths(trees, leaf_adjustment=True)
     for t, tree in enumerate(trees):
         order = list(walk(tree))
         assert [node for node, _ in order] == list(range(len(tree.feature)))
@@ -638,8 +666,7 @@ def test_slot_table_follows_the_walk():
                 assert forest.threshold[slot] == np.inf, (t, node)
             final = p << (levels - depth)
             assert forest.size[final] == tree.size[node], (t, node)
-            h = depth + (average_path_normalizer(tree.size[node]) if tree.size[node] > 1 else 0)
-            assert forest.h[final] == h, (t, node)
+            assert forest.h[final] == lengths[t][node], (t, node)
             sizes.add(final)
     assert set(np.flatnonzero(np.isfinite(forest.threshold)).tolist()) == splits
     assert set(np.flatnonzero(forest.size).tolist()) == sizes
@@ -730,16 +757,12 @@ def test_tree_structure_bounds(small_model):
 
 
 def test_scores_match_object_route(small_model):
-    # The vectorized scorer must agree with the per-tree scalar walk.
+    # The vectorized scorer must agree with the per-tree scalar walk, bit
+    # for bit: the rounded path lengths sum exactly.
     data, model = small_model
-    adjust = model.params.leaf_adjustment
-    for i in range(data.n_samples):
-        mean = np.mean(
-            [path_length(t, data.features[i], adjust) for t in trees_of(model)]
-        )
-        assert model.scores[i] == pytest.approx(
-            anomaly_score(mean, model.subsample_size), rel=1e-12
-        )
+    lengths = path_lengths(trees_of(model), data.features, model.params.leaf_adjustment)
+    mean = np.array([math.fsum(row) for row in lengths]) / model.params.n_trees
+    assert np.array_equal(model.scores, anomaly_score(mean, model.subsample_size))
 
 
 def test_scores_in_unit_interval(small_model):
@@ -758,6 +781,13 @@ def test_all_identical_rows_warns_and_degenerates():
     assert model.forest.levels == max_tree_depth(6)
     assert not np.isfinite(model.forest.threshold).any()
     assert len(set(model.scores.tolist())) == 1
+    # Without leaf adjustment every path length is 0, which is left
+    # unrounded, and every score is exactly 1.0.
+    with pytest.warns(UserWarning):
+        model = fit(data, ForestParams(n_trees=5, seed=0, leaf_adjustment=False))
+    assert not model.forest.h.any()
+    assert np.all(model.scores == 1.0)
+    assert np.all(score_samples(model, data) == 1.0)
 
 
 def test_constant_feature_is_never_split(small_data):
@@ -777,6 +807,19 @@ def test_score_samples_new_data(small_model):
     s_out = score_samples(model, outlier)[0]
     assert s_out > s_in
     assert np.array_equal(score_samples(model, data), model.scores)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_samples_refuses_non_finite_matrix(small_model, bad):
+    # NaN compares as not greater than every threshold, so it would route
+    # left everywhere and get a score; a raw matrix is refused as a
+    # Dataset is, a list as well as an array.
+    data, model = small_model
+    X = data.features[:3].copy()
+    X[1, 0] = bad
+    for matrix in (X, X.tolist()):
+        with pytest.raises(ValueError, match="non-finite"):
+            score_samples(model, matrix)
 
 
 # ---------------------------------------------------------------------------

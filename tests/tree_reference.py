@@ -5,8 +5,10 @@ Both work on per-tree preorder arrays: `feature` (-1 at a leaf), `split`,
 leaf, 0 at an internal node); the left child of internal node i is node
 i + 1. Two recursive converters map them to and from the trees model.json
 stores, splits by heap index and leaf sizes left to right, through which
-`flat` builds a `FlatForest` and `trees_of` reads a model. None of it shares
-code with forest.py's iterative grower, slot table or routing kernel.
+`flat` builds a `FlatForest` and `trees_of` reads a model. `leaf_lengths`
+rounds path lengths to the grid `FlatForest` documents, from its own walk.
+None of it shares code with forest.py's iterative grower, slot table,
+rounding or routing kernel.
 """
 
 from typing import NamedTuple
@@ -150,10 +152,34 @@ def route(tree, x, i=0):
     return [(f, GT, v), *rest], leaf
 
 
-def path_length(tree, x, leaf_adjustment) -> float:
-    """Edges from the root to x's leaf, plus c(leaf size) when adjusting."""
-    steps, leaf = route(tree, x)
-    size = tree.size[leaf]
-    if leaf_adjustment and size > 1:
-        return len(steps) + average_path_normalizer(size)
-    return float(len(steps))
+def leaf_lengths(trees, leaf_adjustment) -> list[dict]:
+    """Per tree, the path length of each leaf node as a forest of `trees`
+    scores it: the leaf's depth, plus c(size) when adjusting and size > 1,
+    rounded to the nearest multiple of g (ties to even, as `round` does).
+    2**52 g is the smallest power of two at least T times the largest
+    unrounded length; no length is rounded when that is 0."""
+    lengths = []
+    for tree in trees:
+        leaves = {}
+        for node, depth in walk(tree):
+            size = tree.size[node]
+            if tree.feature[node] < 0:
+                adjust = leaf_adjustment and size > 1
+                leaves[node] = depth + (average_path_normalizer(size) if adjust else 0.0)
+        lengths.append(leaves)
+    top = len(trees) * max(h for leaves in lengths for h in leaves.values())
+    if top == 0:
+        return lengths
+    power = 1.0
+    while power < top:
+        power *= 2.0
+    while power / 2.0 >= top:
+        power /= 2.0
+    g = power * 2.0**-52
+    return [{node: round(h / g) * g for node, h in leaves.items()} for leaves in lengths]
+
+
+def path_lengths(trees, X, leaf_adjustment) -> list[list[float]]:
+    """Per row of X, its path length in each tree, from `leaf_lengths`."""
+    lengths = leaf_lengths(trees, leaf_adjustment)
+    return [[by_leaf[route(tree, x)[1]] for tree, by_leaf in zip(trees, lengths)] for x in X]
