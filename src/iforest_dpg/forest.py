@@ -300,9 +300,9 @@ class _Streams:
         states = [b.state for b in self._bits]
         self._has_half = np.array([s["has_uint32"] for s in states], dtype=bool)
         self._half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
-        # Word j of tree t is at j * n_trees + t; `_read[t]` words are used.
+        # Word j of tree t is at j * n_trees + t; tree t's next is `_next[t]`.
         self._words = np.empty(0, dtype=np.uint64)
-        self._read = np.zeros(len(generators), dtype=np.intp)
+        self._next = np.arange(len(generators))
         self._fetch(prefetch)
 
     def _fetch(self, more: int) -> None:
@@ -317,13 +317,11 @@ class _Streams:
 
     def _take(self, trees: np.ndarray) -> np.ndarray:
         """The next word of each listed tree; a tree is listed at most once."""
-        read = self._read.take(trees)
-        n_trees = len(self._bits)
-        have = len(self._words) // n_trees
-        if read.size and read.max() >= have:
-            self._fetch(max(have // 2, 32))
-        self._read[trees] = read + 1
-        return self._words.take(read * n_trees + trees)
+        at = self._next.take(trees)
+        if at.size and at.max() >= len(self._words):
+            self._fetch(max(len(self._words) // len(self._bits) // 2, 32))
+        self._next[trees] = at + len(self._bits)
+        return self._words.take(at)
 
     def _uint32(self, trees: np.ndarray) -> np.ndarray:
         value = self._half.take(trees)
@@ -404,12 +402,18 @@ def _grow_lockstep(
     Only split candidates, nodes of more than one row above the depth cap,
     go on the stacks. Each step pops one candidate of every tree whose stack
     is not empty, so step i pops each tree's candidate i in preorder, and a
-    fit takes as many steps as the largest tree has internal nodes. A popped
-    node whose rows are all identical draws its redraw and stays a leaf. A
-    split writes its feature and threshold at its slot, pushes the right
-    child if it is a candidate, then the left one on top; a child that is
-    not a candidate is a leaf there and then and draws nothing, as in the
-    recursive grower. A leaf writes its size at its final slot.
+    fit takes as many steps as the largest tree has internal nodes. A split
+    writes each child's size at the child's leftmost final slot; a left
+    child shares that slot with its parent, so the last size written there
+    is the leaf's. A popped node whose feature is constant on its rows
+    redraws; one of identical rows draws its first feature and no redraw, as
+    in the recursive grower, and is a leaf in the step: feature 0, threshold
+    +inf, no uniform, every row left, so its size is written as a left
+    child's, and no child pushed. Every root starts on its tree's stack, so
+    every leaf's size is written. A split writes its feature and threshold
+    at its slot, pushes the right child if it is a candidate, then the left
+    one on top; a child that is not a candidate is a leaf there and then and
+    draws nothing.
 
     The stacks are flat: tree t's entry at height h is at t * (depth_cap + 1)
     + h of four arrays, (start, end, depth, slot): the node's rows are
@@ -444,13 +448,6 @@ def _grow_lockstep(
     # so it is 8 or 16 bits, which numpy's stable sort radix-sorts.
     key_type = np.min_scalar_type(2 * n_trees - 1)
 
-    def leaves(at: np.ndarray, levels: np.ndarray, rows: np.ndarray) -> None:
-        """Write the sizes of the leaves at slots `at`, at their final slots:
-        from slot q of level k, counted from the level's first, k' left
-        steps lead to slot q * 2**k' of level k + k'."""
-        q = at - forest_trees * ((1 << levels) - 1)
-        size[q << (depth_cap - levels)] = rows
-
     live = np.arange(n_trees)
     with np.errstate(over="ignore"):
         while live.size:
@@ -465,50 +462,49 @@ def _grow_lockstep(
             column = values.take(rows + f.repeat(lengths))
             lo = np.minimum.reduceat(column, offsets)
             hi = np.maximum.reduceat(column, offsets)
-            constant = (lo == hi).nonzero()[0]
-            if constant.size:
-                # Redraw among the features that can still be split; a node
-                # of identical rows stays a leaf.
-                for j in constant:
-                    sub = X[rows[offsets[j] : offsets[j] + lengths[j]] // d]
-                    mins, maxs = sub.min(axis=0), sub.max(axis=0)
-                    valid = np.flatnonzero(mins < maxs)
-                    if valid.size:
-                        f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
-                        lo[j], hi[j] = mins[f[j]], maxs[f[j]]
-                kept = lo < hi
-                leaves(popped[~kept], depth.take(at_top[~kept]), lengths[~kept])
-                trees, lengths, s, e, popped, at_top, f, lo, hi = (
-                    a[kept] for a in (trees, lengths, s, e, popped, at_top, f, lo, hi)
-                )
-                at, offsets = _segments(s, lengths)
-                rows = rows_of.take(at)
-                column = values.take(rows + f.repeat(lengths))
+            for j in (lo == hi).nonzero()[0]:
+                # Redraw among the features that can still be split.
+                segment = slice(offsets[j], offsets[j] + lengths[j])
+                sub = X[rows[segment] // d]
+                mins, maxs = sub.min(axis=0), sub.max(axis=0)
+                valid = np.flatnonzero(mins < maxs)
+                if valid.size:
+                    f[j] = valid[streams.integers(trees[j : j + 1], len(valid))[0]]
+                    lo[j], hi[j] = mins[f[j]], maxs[f[j]]
+                    column[segment] = sub[:, f[j]]
+                else:
+                    f[j] = 0
             if np.isinf(hi - lo).any():
                 raise ValueError("a feature's range is too wide to split: max - min overflows")
-            # A draw that rounds up to hi, a few ulps above lo, would send every
-            # row left; it becomes lo, as in scikit-learn's RandomSplitter.
-            v = streams.uniform(trees, lo, hi)
-            v = np.where(v >= hi, lo, v)
+            # Nodes of identical rows keep threshold +inf. A draw that rounds
+            # up to hi, a few ulps above lo, would send every row left; it
+            # becomes lo, as in scikit-learn's RandomSplitter.
+            drawn = lo < hi
+            v = np.full(len(trees), np.inf)
+            v[drawn] = streams.uniform(trees[drawn], lo[drawn], hi[drawn])
+            v = np.where(drawn & (v >= hi), lo, v)
             goes_right = column > v.repeat(lengths)
             key = np.arange(0, 2 * len(trees), 2, dtype=key_type).repeat(lengths)
             key += goes_right
             rows_of[at] = rows.take(key.argsort(kind="stable"))
             mid = e - np.add.reduceat(goes_right, offsets, dtype=np.int32)
-            kids = depth.take(at_top) + 1
+            levels = depth.take(at_top)
+            kids = levels + 1
             feature[popped] = f
             threshold[popped] = v
             left = 2 * popped + forest_trees
             left_n, right_n = mid - s, e - mid
+            # From slot q of level k, counted from the level's first, k'
+            # left steps lead to slot q * 2**k' of level k + k'.
+            first = (popped - forest_trees * ((1 << levels) - 1)) << (depth_cap - levels)
+            size[first] = left_n
+            size[first + (1 << (depth_cap - kids))] = right_n
             # The right child takes the popped entry, which already holds its
             # end, and the left one goes above it; either is kept only if it
-            # is a candidate, else it is a leaf, and the next write or the
-            # top leaves it out.
-            above = kids < depth_cap
+            # is a candidate, and the next write or the top leaves it out.
+            above = drawn & (kids < depth_cap)
             push_right = above & (right_n > 1)
             push_left = above & (left_n > 1)
-            leaves(left[~push_left], kids[~push_left], left_n[~push_left])
-            leaves(left[~push_right] + 1, kids[~push_right], right_n[~push_right])
             start[at_top] = mid
             depth[at_top] = kids
             slot[at_top] = left + 1

@@ -366,7 +366,7 @@ def _rule_from_dict(obj: dict[str, Any]) -> ScoreThreshold | Contamination:
         return Contamination(fraction=_number(obj, "fraction"))
     if kind == "score_threshold":
         return ScoreThreshold(threshold=_number(obj, "threshold"))
-    raise ValueError(f"unknown label rule kind: {kind!r}")
+    raise _malformed(f"unknown label rule kind: {kind!r}")
 
 
 def _heap_slots(n_trees: int, levels: int, tree: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -510,14 +510,16 @@ def model_from_dict(obj: dict[str, Any]) -> ForestModel:
         )
     try:
         p = _value(obj, "params", (dict,))
-        params = ForestParams(
-            n_trees=_value(p, "n_trees", (int,)),
-            max_subsample=_value(p, "max_subsample", (int,)),
-            seed=_value(p, "seed", (int,)),
-            leaf_adjustment=_value(p, "leaf_adjustment", (bool,)),
-            label_rule=_rule_from_dict(_value(p, "label_rule", (dict,))),
-        )
+        fields = {key: _value(p, key, (int,)) for key in ("n_trees", "max_subsample", "seed")}
+        fields["leaf_adjustment"] = _value(p, "leaf_adjustment", (bool,))
+        fields["label_rule"] = _rule_from_dict(_value(p, "label_rule", (dict,)))
+        try:
+            params = ForestParams(**fields)
+        except ValueError as exc:
+            raise _malformed(f"'params': {exc}") from exc
         n_train = _value(obj, "n_train", (int,))
+        if n_train < 2:
+            raise _malformed(f"'n_train' is {n_train}, but fit needs 2 rows or more")
         scores = _array(obj, "scores", (int, float), np.float64)
         if len(scores) != n_train:
             raise _malformed(f"{len(scores)} scores for n_train {n_train}")

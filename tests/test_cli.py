@@ -501,6 +501,41 @@ def test_score_rejects_malformed_model(tmp_path, capsys, fixture_csv, mutate):
     assert "malformed model file" in err
 
 
+def _set_param(key, value):
+    return lambda doc: doc["params"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_param("max_subsample", 1), "'params': max_subsample must be >= 2, got 1"),
+        (_set_param("n_trees", 0), "'params': n_trees must be >= 1, got 0"),
+        (_set_param("seed", -1), "'params': seed must be >= 0, got -1"),
+        (
+            _set_param("label_rule", {"kind": "contamination", "fraction": 0.7}),
+            "'params': contamination fraction must be in (0, 0.5), got 0.7",
+        ),
+        (_set_param("label_rule", {"kind": "top"}), "unknown label rule kind: 'top'"),
+        (
+            lambda doc: doc.update(n_train=1, scores=doc["scores"][:1]),
+            "'n_train' is 1, but fit needs 2 rows or more",
+        ),
+    ],
+    ids=["max_subsample", "n_trees", "seed", "fraction", "rule kind", "n_train"],
+)
+def test_score_names_a_params_fault_as_the_model_files(
+    tmp_path, capsys, fixture_csv, mutate, message
+):
+    # A value no flag gave reads as a fault of the model file, worded once.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    doc = json.loads(model_path.read_text())
+    mutate(doc)
+    model_path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: malformed model file: {message}\n"
+
+
 def test_score_rejects_deeply_nested_model(tmp_path, capsys, fixture_csv):
     model_path = _trained_model(tmp_path, capsys, fixture_csv)
     doc = json.loads(model_path.read_text())
