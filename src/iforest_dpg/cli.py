@@ -8,12 +8,14 @@ stderr as `warning: <message>` lines and do not change the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import re
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +304,98 @@ def cmd_train(args: argparse.Namespace) -> int:
 # Rows of a batch that `score` parses and routes at a time, and turns into
 # Python values as it writes. Each row is scored on its own, so the block
 # size changes no output, only the memory held: a 4096-row block of 20
-# columns is 0.6 MB, where a whole 50 000-row batch is 8 MB.
+# columns is 0.6 MB, where a whole 50 000-row batch is 8 MB. A batch of more
+# than one block is parsed a block at a time in a forked reader process
+# (`_forked_reader`), so its parse overlaps the routing of earlier blocks.
 _SCORE_BLOCK = 1 << 12
+
+
+def _int64(value: int) -> bytes:
+    return value.to_bytes(8, sys.byteorder, signed=True)
+
+
+def _send_blocks(blocks: Iterator[Dataset], fd: int, faults: tuple[type, ...]) -> None:
+    """Write each of `blocks`' features to the pipe `fd` as an int64 row
+    count and the C-ordered float64 rows, then a count of 0. A fault of one
+    of the `faults` kinds ends the stream instead, as the count -1 - (its
+    kind's index), the message's byte length and its UTF-8 bytes."""
+    with open(fd, "wb") as out:
+        while True:
+            try:
+                block = next(blocks, None)
+            except faults as exc:
+                kind = next(i for i, k in enumerate(faults) if isinstance(exc, k))
+                message = str(exc).encode("utf-8", "surrogatepass")
+                out.write(_int64(-1 - kind) + _int64(len(message)) + message)
+                return
+            if block is None:
+                out.write(_int64(0))
+                return
+            features = np.ascontiguousarray(block.features)
+            out.write(_int64(len(features)))
+            out.write(features)
+
+
+def _received_blocks(
+    fh, width: int, path: str, faults: tuple[type, ...]
+) -> Iterator[np.ndarray]:
+    """The feature matrices `_send_blocks` writes, read off the pipe `fh`;
+    a sent fault is raised here, and a stream without its end is an
+    OSError naming `path`."""
+
+    def read(size: int) -> bytes:
+        data = fh.read(size)
+        if len(data) != size:
+            raise OSError(f"CSV reader process for {path} ended before the end of the file")
+        return data
+
+    while (n := int.from_bytes(read(8), sys.byteorder, signed=True)) > 0:
+        yield np.frombuffer(read(n * width * 8), dtype=np.float64).reshape(n, width)
+    if n < 0:
+        size = int.from_bytes(read(8), sys.byteorder, signed=True)
+        raise faults[-1 - n](read(size).decode("utf-8", "surrogatepass"))
+
+
+@contextlib.contextmanager
+def _forked_reader(
+    blocks: Iterator[Dataset], width: int, path: str
+) -> Iterator[Iterator[np.ndarray]]:
+    """Go on iterating `blocks` in a forked child, and give the parent an
+    iterator over their feature matrices, sent through a pipe. Enter it
+    before any other thread starts (routing starts its own later): a fork
+    copies only the calling thread, and no lock another thread holds.
+
+    The child holds the open file, its decoder state and one block; it
+    writes nothing to stdout or stderr and leaves only through `os._exit`,
+    so it runs none of the parent's clean-up and flushes none of its
+    buffers. The parent never reads the file again. On every exit it closes
+    its end of the pipe, which ends a child blocked in a write, and waits
+    for the child; on an error it also kills the child, which may be
+    blocked in a read of a stalled input stream.
+    """
+    # The faults the child sends on: the kinds `main` reports as `error:` lines.
+    faults = (ValueError, OSError, MemoryError)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            warnings.simplefilter("ignore")
+            _send_blocks(blocks, write_fd, faults)
+        finally:
+            os._exit(0)
+    try:
+        os.close(write_fd)
+        blocks.close()
+        with open(read_fd, "rb") as fh:
+            yield _received_blocks(fh, width, path, faults)
+    except BaseException:
+        import signal  # loaded on this error path only, not by every import
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _scored_blocks(scores: np.ndarray, is_outlier: np.ndarray):
@@ -338,15 +430,23 @@ def cmd_score(args: argparse.Namespace) -> int:
     The first block is read before the model and checked against it, so a
     batch of one block reports a fault in the CSV, then in the model, then
     in its columns; a later block's fault comes after the other two.
+    Where `os.fork` exists, a batch of more than one block forks a reader
+    before the model loads, which parses the later blocks while the parent
+    routes, with the same outputs and the same order of faults.
     Nothing is written until every block has been scored.
     """
     blocks = read_csv_blocks(args.data, rows=_SCORE_BLOCK, **_csv_options(args))
     first = next(blocks)
-    model = load_model(args.model)
-    _check_columns(first, model, has_header=not args.no_header)
-    scores = np.concatenate(
-        [score_samples(model, block) for block in itertools.chain([first], blocks)]
-    )
+    if first.n_samples == _SCORE_BLOCK and hasattr(os, "fork"):
+        reader = _forked_reader(blocks, first.n_features, args.data)
+    else:
+        reader = contextlib.nullcontext(blocks)
+    with reader as rest:
+        model = load_model(args.model)
+        _check_columns(first, model, has_header=not args.no_header)
+        scores = np.concatenate(
+            [score_samples(model, block) for block in itertools.chain([first], rest)]
+        )
     # The training-score cutoff, not the rule: a row's label must not depend
     # on the batch it is scored in.
     scored = _scored_blocks(scores, label_scores(scores, ScoreThreshold(model.cutoff)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
@@ -29,6 +30,7 @@ from iforest_dpg.forest import (
 from iforest_dpg.io import (
     load_model,
     read_csv,
+    read_csv_blocks,
     save_model,
     write_dataset_csv,
     write_explanation_bundle,
@@ -297,9 +299,34 @@ def test_score_single_row_matches_batch(tmp_path, capsys, fixture_csv):
     assert record["score"] == batch[5]["score"]
 
 
-def test_score_in_blocks_writes_the_same_bytes(tmp_path, capsys, fixture_csv, monkeypatch):
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids `os.fork` returns to this process, kept as it forks."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child():
+    # Neither a running nor an exited child is left to this process.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_score_in_blocks_writes_the_same_bytes(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks
+):
     # 200 rows in blocks of 7 (the last one of 4 rows) score, label and
-    # print as the one block of the default size does.
+    # print as the one block of the default size does, both through the
+    # forked reader and, without os.fork, in process.
     model_path = tmp_path / "model.json"
     code, _, _ = run(
         capsys,
@@ -308,15 +335,46 @@ def test_score_in_blocks_writes_the_same_bytes(tmp_path, capsys, fixture_csv, mo
         "--out", str(model_path),
     )
     assert code == 0
-    outputs = []
-    for block in (cli._SCORE_BLOCK, 7):
+
+    def outputs(block):
         monkeypatch.setattr(cli, "_SCORE_BLOCK", block)
         out_csv = tmp_path / f"scores_{block}.csv"
         argv = ("score", str(fixture_csv), "--model", str(model_path))
         assert run(capsys, *argv, "--out", str(out_csv))[0] == 0
-        outputs.append((out_csv.read_bytes(), run(capsys, *argv, "--json")[1]))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0].count(b"\n") == 201
+        return out_csv.read_bytes(), run(capsys, *argv, "--json")[1]
+
+    whole = outputs(cli._SCORE_BLOCK)
+    assert forks == []
+    forked = outputs(7)
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    assert whole == forked == outputs(7)
+    assert whole[0].count(b"\n") == 201
+
+
+def test_score_reader_sends_blocks_larger_than_a_pipe_buffer(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks
+):
+    # 45 copies of the fixture's rows are two full blocks and one of 808
+    # rows. The reader sends the second, 4096 rows of 6 columns, 196 KB:
+    # three times the default buffer of a Linux pipe, so the parent reads
+    # it in pieces. Through the reader the batch scores the same bytes as
+    # in process, and every copy of a row the same score.
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    tiled = tmp_path / "tiled.csv"
+    _write_rows(tiled, rows[:1] + rows[1:] * 45)
+    out_csv = tmp_path / "scores.csv"
+    argv = ("score", str(tiled), "--model", str(model_path), "--out", str(out_csv))
+    assert run(capsys, *argv)[0] == 0
+    assert len(forks) == 1
+    forked = out_csv.read_bytes()
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv)[0] == 0
+    assert out_csv.read_bytes() == forked
+    scores = [row[1] for row in csv.reader(forked.decode().splitlines()[1:])]
+    assert len(scores) == 9000 and scores == scores[:200] * 45
 
 
 def test_score_loads_no_hashing_or_random_modules(tmp_path, capsys, fixture_csv):
@@ -377,6 +435,160 @@ def test_score_fault_after_the_first_block(tmp_path, capsys, fixture_csv, monkey
     _write_rows(bad, rows)
     code, _, err = run(capsys, "score", str(bad), "--model", str(broken))
     assert (code, err) == (1, "error: non-numeric value 'early' at row 4, column 'F2'\n")
+
+
+@pytest.mark.parametrize("fault", ["non-numeric", "non-finite", "ragged", "label token"])
+def test_score_reader_reports_a_later_block_fault_as_read_csv(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks, fault
+):
+    # Data row 16, file row 17, is in the third block of 7 rows, which the
+    # forked reader parses: its fault is read_csv's error line, exit 1, and
+    # no --out file is written.
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    label_column = None
+    if fault == "non-numeric":
+        rows[16][2] = "oops"
+    elif fault == "non-finite":
+        rows[16][2] = "inf"
+    elif fault == "ragged":
+        del rows[16][4:]
+    else:
+        label_column = "label"
+        tokens = ["label"] + ["n"] * 15 + ["maybe"] + ["n"] * (len(rows) - 17)
+        rows = [row + [token] for row, token in zip(rows, tokens)]
+    bad = tmp_path / "bad.csv"
+    _write_rows(bad, rows)
+    with pytest.raises(ValueError) as expected:
+        read_csv(bad, label_column=label_column)
+    assert "at row 17" in str(expected.value)
+    out_csv = tmp_path / "scores.csv"
+    flags = [] if label_column is None else ["--label-column", label_column]
+    code, stdout, err = run(
+        capsys, "score", str(bad), *flags, "--model", str(model_path), "--out", str(out_csv)
+    )
+    assert (code, stdout, err) == (1, "", f"error: {expected.value}\n")
+    assert not out_csv.exists()
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (
+            PermissionError(13, "Permission denied", "batch.csv"),
+            "error: [Errno 13] Permission denied: 'batch.csv'\n",
+        ),
+        (
+            MemoryError("Unable to allocate 4.00 MiB for an array"),
+            "error: out of memory: Unable to allocate 4.00 MiB for an array\n",
+        ),
+    ],
+    ids=["OSError", "MemoryError"],
+)
+def test_score_reader_reports_a_reader_fault_as_in_process(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks, fault, line
+):
+    # A stand-in reader fails at the third block of 7 rows: sent on by the
+    # forked reader, the fault prints the line the in-process loop prints.
+    def blocks(path, **kwargs):
+        real = read_csv_blocks(path, **kwargs)
+        yield next(real)
+        yield next(real)
+        raise fault
+
+    monkeypatch.setattr(cli, "read_csv_blocks", blocks)
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    out_csv = tmp_path / "scores.csv"
+    argv = ("score", str(fixture_csv), "--model", str(model_path), "--out", str(out_csv))
+    forked = run(capsys, *argv)
+    assert len(forks) == 1
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv) == forked == (1, "", line)
+    assert not out_csv.exists()
+
+
+def test_score_reports_a_reader_that_ends_early(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks
+):
+    # A reader that stops without sending the end of the batch, here on a
+    # fault `score` does not report, is an error naming the file, exit 1.
+    def blocks(path, **kwargs):
+        real = read_csv_blocks(path, **kwargs)
+        yield next(real)
+        yield next(real)
+        raise TypeError("not a reader fault")
+
+    monkeypatch.setattr(cli, "read_csv_blocks", blocks)
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    code, stdout, err = run(capsys, "score", str(fixture_csv), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: CSV reader process for {fixture_csv} ended before the end of the file\n"
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("exit_path", ["success", "later block", "model", "columns", "memory"])
+def test_no_process_outlives_score(
+    tmp_path, capsys, fixture_csv, monkeypatch, forks, exit_path
+):
+    # The reader is forked before the model loads; whichever way `score`
+    # ends, it has waited for its reader.
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    model_path = _trained_model(tmp_path, capsys, fixture_csv)
+    with open(fixture_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if exit_path == "later block":
+        rows[16][2] = "oops"
+    elif exit_path == "columns":
+        rows[0][0] = "G0"
+    elif exit_path == "model":
+        model_path = tmp_path / "broken.json"
+        model_path.write_text("{}")
+    elif exit_path == "memory":
+        calls = []
+
+        def score_samples(model, data):
+            calls.append(data)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 1.00 MiB for an array")
+            return cli_score_samples(model, data)
+
+        cli_score_samples = cli.score_samples
+        monkeypatch.setattr(cli, "score_samples", score_samples)
+    batch = tmp_path / "batch.csv"
+    _write_rows(batch, rows)
+    code, _, err = run(capsys, "score", str(batch), "--model", str(model_path))
+    assert code == (0 if exit_path == "success" else 1), err
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_score_kills_a_stalled_reader(tmp_path, capsys, fixture_csv, monkeypatch, forks):
+    # A reader blocked on input that does not come, as on a stalled pipe,
+    # does not hold `score` up after a model fault: it is killed and reaped.
+    def blocks(path, **kwargs):
+        real = read_csv_blocks(path, **kwargs)
+        yield next(real)
+        time.sleep(60)
+        yield from real
+
+    monkeypatch.setattr(cli, "read_csv_blocks", blocks)
+    monkeypatch.setattr(cli, "_SCORE_BLOCK", 7)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{}")
+    started = time.monotonic()
+    code, _, err = run(capsys, "score", str(fixture_csv), "--model", str(broken))
+    assert code == 1 and err.startswith("error: unsupported model schema_version")
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    _assert_no_child()
 
 
 def test_train_rejects_single_row(tmp_path, capsys, fixture_csv):
